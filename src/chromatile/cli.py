@@ -41,7 +41,6 @@ from .rectcolor import (
     color_core,
     color_shifted_core,
     verify_boundary_condition,
-    verify_proper,
     verify_shifted_core,
 )
 from .render import render_svg
@@ -117,12 +116,13 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
     else:
         raise InvalidInputError(f"unknown mode {args.mode!r}")
 
-    if not verify_proper(coloring) or not verify_boundary_condition(coloring, box):
-        raise VerificationError("produced coloring failed verification")
     if args.mode in ("core", "shifted"):
         shift = t if t is not None else (0,) * box.n
-        if not verify_shifted_core(coloring, box, shift):
-            raise VerificationError("core confinement failed verification")
+        ok = verify_shifted_core(coloring, box, shift)
+    else:
+        ok = verify_boundary_condition(coloring, box)
+    if not ok:
+        raise VerificationError("produced coloring failed verification")
     doc = document_for_rect(box.origin, box.sizes, args.mode, coloring, t)
     _write_out(args.out, serialize_coloring(doc))
     print(
@@ -286,10 +286,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a comma-separated vector of integers
+VECTOR_OPTIONS = frozenset({"--t", "--origin", "--offsets", "--moduli", "--sizes"})
+
+
+def _attach_vectors(argv: Sequence[str]) -> list[str]:
+    """Join a vector option to a value that starts with a minus sign.
+
+    argparse reads "--t -2,0" as two options, because "-2,0" is not a
+    plain negative number; "--t=-2,0" is unambiguous.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in VECTOR_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which
+        # would read as a verification failure
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
+    try:
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .errors import InvalidInputError
 from .lattice import GeneratorSet, Vector
@@ -319,3 +328,188 @@ def ball(view: SchreierGraphView, x: Vertex, radius: int) -> dict[Vertex, int]:
                 dist[w] = dist[v] + 1
                 frontier.append(w)
     return dist
+
+
+# ---------------------------------------------------------------------------
+# one-pass certification kernel
+#
+# The rectangle, torus and layered verifiers all check a coloring with
+# ``_scan_coloring``: one pass over its items that turns both endpoints
+# of every key into a mixed-radix vertex index and marks (vertex, color
+# slot) in a bytearray, so a slot marked twice is a vertex that sees one
+# color twice.  A verifier describes its edge set by a *frame*, the
+# row-major index of every vertex of a box, and one *edge class* per
+# direction: a key (base, cls) names an edge when base is a frame vertex
+# and ``classes[cls]`` gives it a second endpoint.
+# ---------------------------------------------------------------------------
+
+# (high, allowed): high[u] is the index of the second endpoint of the
+# class's edge based at vertex u, or negative when the edge set has no
+# such edge; allowed[slot] says whether the class may carry that slot
+_EdgeClass = tuple[list[int], bytes]
+
+
+class _Scan(NamedTuple):
+    """What one pass over a coloring found."""
+
+    count: int  # keys naming an edge of the set; distinct, being dict keys
+    alien: list  # keys naming none
+    off_palette: list  # (key, color) pairs whose color has no slot
+    misplaced: list  # (key, color) pairs whose slot the key's class does not allow
+    clashes: list  # (vertex index, slot) pairs marked a second time
+    watched: list  # keys whose color has the watched slot
+    seen: bytearray  # seen[vertex * slot_count + slot]
+
+    def slots_used(self, slot_count: int) -> int:
+        return sum(1 for slot in range(slot_count) if 1 in self.seen[slot::slot_count])
+
+
+def _frame_index(lows: Sequence[int], radices: Sequence[int]) -> dict[Vertex, int]:
+    """Row-major index of every vertex of the box lows .. lows + radices - 1."""
+    ranges = [range(low, low + r) for low, r in zip(lows, radices)]
+    return {v: i for i, v in enumerate(product(*ranges))}
+
+
+def _strides(radices: Sequence[int]) -> list[int]:
+    """Row-major place values: the last coordinate varies fastest."""
+    out, place = [], 1
+    for r in reversed(radices):
+        out.append(place)
+        place *= r
+    return out[::-1]
+
+
+def _outer_sum(columns: Sequence[Sequence[int]]) -> list[int]:
+    """The sum over i of columns[i][x_i], for every frame offset x in
+    row-major order."""
+    out = [0]
+    for column in columns:
+        out = [a + b for a in out for b in column]
+    return out
+
+
+def _box_frame(
+    box: Box, allowed: bytes
+) -> tuple[dict[Vertex, int], dict[int, _EdgeClass]]:
+    """Frame and edge classes (keyed by axis) of the edges in a box and
+    adjacent to it.
+
+    The frame is the box padded by one vertex on every side, so the box
+    spans frame offsets 1 .. a_i + 1.  Along its own axis an edge's base
+    runs from offset 0 to a_i + 1; along every other axis it stays inside.
+    """
+    radices = [a + 3 for a in box.sizes]
+    index = _frame_index([b - 1 for b in box.origin], radices)
+    absent = -len(index)  # keeps every sum it enters negative
+    strides = _strides(radices)
+    classes = {}
+    for i in range(box.n):
+        columns = [
+            [(x + 1) * st if x <= a + 1 else absent for x in range(a + 3)]
+            if j == i
+            else [x * st if 1 <= x <= a + 1 else absent for x in range(a + 3)]
+            for j, (a, st) in enumerate(zip(box.sizes, strides))
+        ]
+        classes[i + 1] = (_outer_sum(columns), allowed)
+    return index, classes
+
+
+def _torus_frame(
+    moduli: Sequence[int], steps: dict[Hashable, tuple[Vector, bytes]]
+) -> tuple[dict[Vertex, int], dict[Hashable, _EdgeClass]]:
+    """Frame and edge classes of a torus, keyed by reduced base vertex.
+
+    ``steps`` maps each class key (an axis, or the step itself) to its
+    step vector and the slots the class may carry.
+    """
+    strides = _strides(moduli)
+    classes = {}
+    for cls, (step, allowed) in steps.items():
+        columns = [
+            [(x + s) % q * st for x in range(q)] for s, q, st in zip(step, moduli, strides)
+        ]
+        classes[cls] = (_outer_sum(columns), allowed)
+    return _frame_index([0] * len(moduli), moduli), classes
+
+
+def _scan_coloring(
+    items: Iterable[tuple[Hashable, object]],
+    index: dict[Vertex, int],
+    classes: dict[Hashable, _EdgeClass],
+    slot_count: int,
+    slot_of: Callable[[object], Optional[int]],
+    watch: int = -1,
+) -> _Scan:
+    """The properness kernel: key validity, palette and properness in one pass.
+
+    ``slot_of`` maps a color to its palette slot, or to None when the
+    color is outside the palette.  Keys carrying the ``watch`` slot are
+    collected, so a caller can confine that color afterwards.
+    """
+    seen = bytearray(len(index) * slot_count)
+    count = 0
+    alien: list = []
+    off_palette: list = []
+    misplaced: list = []
+    clashes: list = []
+    watched: list = []
+    for key, color in items:
+        try:
+            base, cls = key
+            high, allowed = classes[cls]
+            u = index[base]
+        except (KeyError, TypeError, ValueError):
+            alien.append(key)
+            continue
+        v = high[u]
+        if v < 0:
+            alien.append(key)
+            continue
+        count += 1
+        try:
+            slot = slot_of(color)
+        except TypeError:  # an unhashable color
+            slot = None
+        if slot is None:
+            off_palette.append((key, color))
+            continue
+        if not allowed[slot]:
+            misplaced.append((key, color))
+        if slot == watch:
+            watched.append(key)
+        at = u * slot_count + slot
+        if seen[at]:
+            clashes.append((u, slot))
+        seen[at] = 1
+        at = v * slot_count + slot
+        if seen[at]:
+            clashes.append((v, slot))
+        seen[at] = 1
+    return _Scan(count, alien, off_palette, misplaced, clashes, watched, seen)
+
+
+def _scan_problems(
+    scan: _Scan, expected: int, index: dict[Vertex, int], palette: Sequence[object]
+) -> list[str]:
+    """Totality, palette and properness problems of a scan, one line each."""
+    problems = []
+    missing = expected - scan.count
+    if missing or scan.alien:
+        line = f"edge totality broken: {missing} missing, {len(scan.alien)} alien"
+        if scan.alien:
+            line += f" (first alien key: {scan.alien[0]!r})"
+        problems.append(line)
+    if scan.off_palette:
+        key, color = scan.off_palette[0]
+        problems.append(
+            f"{len(scan.off_palette)} edges colored outside the palette of "
+            f"{len(palette)} colors (first: {key} colored {color!r})"
+        )
+    if scan.clashes:
+        u, slot = scan.clashes[0]
+        vertex = next(v for v, i in index.items() if i == u)
+        problems.append(
+            f"coloring is not proper: vertex {vertex} sees color {palette[slot]} "
+            f"twice ({len(scan.clashes)} repeats in all)"
+        )
+    return problems

@@ -28,7 +28,14 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError
-from .grid import SchreierGraphView, Torus, Vertex
+from .grid import (
+    SchreierGraphView,
+    Torus,
+    Vertex,
+    _scan_coloring,
+    _scan_problems,
+    _torus_frame,
+)
 from .lattice import (
     Decomposition,
     GeneratorSet,
@@ -47,8 +54,6 @@ from .tiling import (
     segment_lengths,
     validate_tiling,
 )
-
-AmbientEdge = tuple[Vertex, Vector]  # (base, canonical step)
 
 ZERO = "0"
 
@@ -331,85 +336,74 @@ class LayeredReport:
     zero_edges: int
 
 
-def ambient_edge_keys(s: GeneratorSet, torus: Torus) -> list[AmbientEdge]:
-    reps = s.pairs()
-    return sorted((x, u) for x in torus.vertices() for u in reps)
-
-
 def verify_layered(
     result: LayeredResult, s: GeneratorSet, moduli: Sequence[int]
 ) -> LayeredReport:
     """Totality, properness, palette size, and color-0 confinement.
 
-    Also re-checks that the per-level edge sets carry exactly the level
-    palettes and that chosen core sets are pairwise disjoint.
+    One pass over the coloring also checks that every level's edges
+    carry only that level's palette or color 0.  Chosen core sets must
+    be pairwise disjoint.
     """
     problems: list[str] = []
     torus = Torus(tuple(moduli))
-    coloring = result.coloring
-    expected = set(ambient_edge_keys(s, torus))
-    have = set(coloring.edges())
-    if have != expected:
-        missing = len(expected - have)
-        alien = len(have - expected)
-        problems.append(f"edge totality broken: {missing} missing, {alien} alien")
-
-    # properness: every vertex sees pairwise distinct colors
-    reps = s.pairs()
-    for x in torus.vertices():
-        seen = set()
-        for u in reps:
-            down = torus.add(x, tuple(-c for c in u))
-            for key in ((x, u), (down, u)):
-                color = coloring.get(key)
-                if color is None:
-                    continue
-                if color in seen:
-                    problems.append(f"vertex {x} sees color {color} twice")
-                else:
-                    seen.add(color)
-
-    used = coloring.colors_used()
-    if len(used) > len(s) + 1:
-        problems.append(f"{len(used)} colors used; at most {len(s) + 1} allowed")
-
-    # color 0 only inside one level's core set, on that level's edges
-    zero_edges = 0
-    step_level = {}
+    level_of: dict[Vector, int] = {}
+    level_colors: dict[int, list[str]] = {}
+    colors = [ZERO]
     for model in result.models:
         for b in model.basis:
-            step_level[b] = model.level
-    for (base, step), color in coloring.items():
-        if color != ZERO:
-            continue
-        zero_edges += 1
-        level = step_level.get(step)
+            level_of[b] = model.level
+        level_colors[model.level] = level_palette(model.level, model.chart_dim)
+        colors += level_colors[model.level]
+    slot_of = {color: slot for slot, color in enumerate(colors)}
+
+    # one edge class per canonical step; color 0 (slot 0) is allowed on all
+    steps = {}
+    for u in s.pairs():
+        allowed = bytearray(len(colors))
+        allowed[0] = 1
+        level = level_of.get(u)
+        if level is None:
+            problems.append(f"step {u} belongs to no level's basis")
+        else:
+            for color in level_colors[level]:
+                allowed[slot_of[color]] = 1
+        steps[u] = (u, bytes(allowed))
+
+    index, classes = _torus_frame(torus.moduli, steps)
+    scan = _scan_coloring(
+        result.coloring.items(), index, classes, len(colors), slot_of.get, watch=0
+    )
+    problems += _scan_problems(scan, len(steps) * torus.vertex_count(), index, colors)
+    if scan.misplaced:
+        (base, step), color = scan.misplaced[0]
+        problems.append(
+            f"level {level_of.get(step)} edge {(base, step)} colored {color} from "
+            f"another level's palette ({len(scan.misplaced)} edges in all)"
+        )
+
+    # off-palette colors counted by repr, since they need not be hashable
+    off_palette = {repr(color) for _, color in scan.off_palette}
+    color_count = scan.slots_used(len(colors)) + len(off_palette)
+    if color_count > len(s) + 1:
+        problems.append(f"{color_count} colors used; at most {len(s) + 1} allowed")
+
+    # color 0 only inside one level's core set, on that level's edges
+    for base, step in scan.watched:
+        level = level_of.get(step)
         if level is None:
             problems.append(f"zero-colored edge with unknown step {step}")
             continue
-        other = torus.add(base, step)
         ks = result.k_sets[level]
-        if base not in ks or other not in ks:
+        if base not in ks or torus.add(base, step) not in ks:
             problems.append(f"color 0 escapes the level-{level} cores at {(base, step)}")
-
-    # per-level partition: level palette colors exactly on level edges
-    for model in result.models:
-        lvl = model.level
-        allowed = set(level_palette(lvl, model.chart_dim)) | {ZERO}
-        for (base, step), color in coloring.items():
-            if step in model.basis:
-                if color not in allowed:
-                    problems.append(
-                        f"level {lvl} edge {(base, step)} colored {color} from "
-                        f"another level's palette"
-                    )
 
     for i in range(len(result.k_sets)):
         for j in range(i + 1, len(result.k_sets)):
             if result.k_sets[i] & result.k_sets[j]:
                 problems.append(f"core sets of levels {i} and {j} intersect")
 
-    return LayeredReport(not problems, tuple(problems), len(used), zero_edges)
+    return LayeredReport(not problems, tuple(problems), color_count, len(scan.watched))
 
 
 # ---------------------------------------------------------------------------

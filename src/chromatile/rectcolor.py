@@ -28,14 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError
 from .grid import (
     Box,
     GridEdge,
     Vertex,
+    _Scan,
     _adjacent_edges,
+    _box_frame,
+    _scan_coloring,
     _vertices,
     adjacent_edges,
     edges_in,
@@ -399,12 +403,16 @@ def color_shifted_core(box: Box, t: Vector) -> EdgeColoring:
 
 
 # ---------------------------------------------------------------------------
-# verifiers -- literal checks of the definitions, independent of the
-# constructions above
+# verifiers -- checks of the definitions, independent of the constructions
+# above; the box verifiers make one pass through the grid kernel
 # ---------------------------------------------------------------------------
 
 def verify_proper(coloring: EdgeColoring) -> bool:
-    """No two colored edges sharing a vertex carry the same color."""
+    """No two colored edges sharing a vertex carry the same color.
+
+    The generic check for an arbitrary set of grid-edge keys; the box
+    verifiers below also check properness, on their own edge set.
+    """
     at_vertex: dict[Vertex, set] = {}
     for edge, color in coloring.items():
         for v in edge.endpoints():
@@ -415,46 +423,107 @@ def verify_proper(coloring: EdgeColoring) -> bool:
     return True
 
 
-def _require_total(coloring: EdgeColoring, box: Box) -> tuple[list[GridEdge], list[GridEdge]]:
-    inner = edges_in(box)
-    adj = adjacent_edges(box)
-    missing = [e for e in inner + adj if e not in coloring]
-    if missing:
+def _color_slots(n: int):
+    """Map a color of palette(n) to its slot (c_i -> i - 1, j -> n + j - 1).
+
+    Reads the two fields instead of hashing the Color, which costs far
+    more; anything that is not a palette color maps to None.
+    """
+    slots = {
+        "c": {i: i - 1 for i in range(1, n + 1)},
+        "p": {j: n + j - 1 for j in range(1, n + 2)},
+    }
+
+    def slot_of(color) -> Optional[int]:
+        try:
+            return slots[color.kind].get(color.index)
+        except (AttributeError, KeyError):
+            return None
+
+    return slot_of
+
+
+def _box_edge_count(sizes: Sequence[int]) -> int:
+    """Edges in a box plus its adjacent edges.
+
+    Along axis i there are (a_i + 2) * prod_{j != i} (a_j + 1) of them.
+    """
+    total = 0
+    for i, a in enumerate(sizes):
+        cross = 1
+        for j, b in enumerate(sizes):
+            if j != i:
+                cross *= b + 1
+        total += (a + 2) * cross
+    return total
+
+
+def _scan_box(
+    coloring: EdgeColoring, box: Box, watch: int = -1
+) -> tuple[_Scan, dict[Vertex, int]]:
+    """One pass over a box coloring, and the frame index it used.
+
+    Raises InvalidInputError when an edge of the box or an adjacent edge
+    is missing.
+    """
+    slot_count = 2 * box.n + 1
+    index, classes = _box_frame(box, b"\x01" * slot_count)
+    scan = _scan_coloring(
+        coloring.items(), index, classes, slot_count, _color_slots(box.n), watch
+    )
+    # valid keys are distinct edges of the set, so fewer means missing ones
+    if scan.count < _box_edge_count(box.sizes):
+        missing = next(e for e in edges_in(box) + adjacent_edges(box) if e not in coloring)
         raise InvalidInputError(
             f"coloring is not total on the box and its adjacent edges; "
-            f"first missing: {missing[0]}"
+            f"first missing: {missing}"
         )
-    return inner, adj
+    return scan, index
 
 
-def _restriction(coloring: EdgeColoring, edges: Iterable[GridEdge]) -> EdgeColoring:
-    return EdgeColoring({e: coloring[e] for e in edges})
+def _boundary_holds(scan: _Scan, index: dict[Vertex, int], box: Box) -> bool:
+    """Proper, palette-only, no alien keys, and adjacent edges along e_i are c_i.
+
+    A vertex just outside a face across axis i lies on exactly one edge
+    of the set, an adjacent edge along e_i; on a total coloring that edge
+    is c_i exactly when the vertex has seen slot i - 1.
+    """
+    if scan.alien or scan.off_palette or scan.clashes:
+        return False
+    slot_count = 2 * box.n + 1
+    for i in range(box.n):
+        face = [
+            (b - 1, b + a + 1) if j == i else range(b, b + a + 1)
+            for j, (b, a) in enumerate(zip(box.origin, box.sizes))
+        ]
+        for w in product(*face):
+            if not scan.seen[index[w] * slot_count + i]:
+                return False
+    return True
 
 
 def verify_boundary_condition(coloring: EdgeColoring, box: Box) -> bool:
-    """Proper on box + adjacent edges; adjacent edges parallel to e_i are c_i."""
-    inner, adj = _require_total(coloring, box)
-    for e in adj:
-        if coloring[e] != C(e.axis):
-            return False
-    return verify_proper(_restriction(coloring, inner + adj))
+    """Proper on box + adjacent edges; adjacent edges parallel to e_i are c_i.
+
+    One pass over the coloring.  Keys that are not edges of the box or
+    adjacent to it, and colors outside palette(n), also fail; a missing
+    edge raises InvalidInputError.
+    """
+    scan, index = _scan_box(coloring, box)
+    return _boundary_holds(scan, index, box)
 
 
 def verify_shifted_core(coloring: EdgeColoring, box: Box, t: Vector) -> bool:
-    """Boundary-style properness plus: color n+1 only on t-shifted-core edges.
+    """The boundary condition plus: color n+1 only on t-shifted-core edges.
 
     Raises when the box has an odd side (no core exists).
     """
     core_box = box.shifted_core(tuple(t))  # raises on odd sides / bad t
-    inner, adj = _require_total(coloring, box)
-    if not verify_proper(_restriction(coloring, inner + adj)):
+    scan, index = _scan_box(coloring, box, watch=2 * box.n)
+    if not _boundary_holds(scan, index, box):
         return False
     allowed = set(edges_in(core_box))
-    extra = P(box.n + 1)
-    for e in inner + adj:
-        if coloring[e] == extra and e not in allowed:
-            return False
-    return True
+    return all(e in allowed for e in scan.watched)
 
 
 def verify_core_condition(coloring: EdgeColoring, box: Box) -> bool:

@@ -15,9 +15,7 @@ property on finite graphs; it is not on the coloring critical path.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,27 +26,23 @@ from .grid import (
     SchreierGraphView,
     Torus,
     Vertex,
+    _scan_coloring,
+    _scan_problems,
+    _torus_frame,
     ball,
     edges_in,
+    unit_vector,
 )
 from .lattice import Vector
 from .rectcolor import (
     EdgeColoring,
-    P,
+    _color_slots,
     color_bc1,
     color_bc2,
     color_core,
     color_shifted_core,
+    palette,
 )
-
-
-def thread_count() -> int:
-    """Worker cap from CHROMATILE_THREADS (default 1)."""
-    raw = os.environ.get("CHROMATILE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +225,6 @@ def torus_edge(edge: GridEdge, torus: Torus) -> GridEdge:
     return GridEdge(torus.reduce(edge.base), edge.axis)
 
 
-def torus_edge_endpoints(edge: GridEdge, torus: Torus) -> tuple[Vertex, Vertex]:
-    up = tuple(
-        (x + 1) % q if i == edge.axis - 1 else x
-        for i, (x, q) in enumerate(zip(edge.base, torus.moduli))
-    )
-    return edge.base, up
-
-
-def all_torus_edges(torus: Torus) -> list[GridEdge]:
-    return sorted(
-        GridEdge(v, ax) for v in torus.vertices() for ax in range(1, torus.n + 1)
-    )
-
-
 def is_all_even(region: Box) -> bool:
     return all(a % 2 == 0 for a in region.sizes)
 
@@ -332,67 +312,42 @@ def allowed_core_edges(
 # torus-wide verification
 # ---------------------------------------------------------------------------
 
-def _check_vertices(
-    coloring: EdgeColoring, torus: Torus, vertices: Sequence[Vertex]
-) -> list[str]:
-    problems = []
-    for v in vertices:
-        seen = set()
-        for ax in range(1, torus.n + 1):
-            down = tuple(
-                (x - 1) % q if i == ax - 1 else x
-                for i, (x, q) in enumerate(zip(v, torus.moduli))
-            )
-            for e in (GridEdge(v, ax), GridEdge(down, ax)):
-                color = coloring.get(e)
-                if color is None:
-                    problems.append(f"edge {e} uncolored")
-                elif color in seen:
-                    problems.append(f"vertex {v} sees color {color} twice")
-                else:
-                    seen.add(color)
-    return problems
-
-
-def verify_torus_proper(coloring: EdgeColoring, torus: Torus) -> bool:
-    """Exhaustive vertex-local properness check over the whole torus.
-
-    Splits the vertex set across workers when CHROMATILE_THREADS > 1;
-    the check is read-only, so partitioning is safe.
-    """
-    vertices = sorted(torus.vertices())
-    workers = min(thread_count(), len(vertices))
-    if workers <= 1:
-        return not _check_vertices(coloring, torus, vertices)
-    chunk = (len(vertices) + workers - 1) // workers
-    parts = [vertices[i : i + chunk] for i in range(0, len(vertices), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda p: _check_vertices(coloring, torus, p), parts)
-        return all(not r for r in results)
-
-
 def verify_tiling_coloring(
     coloring: EdgeColoring,
     tiling: Tiling,
     mode: str,
     shifts: Optional[dict[int, Vector]] = None,
 ) -> TilingReport:
-    """Full certification: totality, properness, palette, confinement."""
-    problems: list[str] = []
+    """Full certification in one pass: totality, properness, palette, confinement.
+
+    Totality means exactly the n * |V| torus edges, keyed by their
+    reduced base; the palette is the 2n+1 colors of ``palette(n)``.  In
+    core / shifted mode the extra color n+1 may only sit on edges of the
+    (shifted) cores the tiling and ``shifts`` give its all-even regions.
+    """
     torus = tiling.torus
     n = torus.n
-    missing = [e for e in all_torus_edges(torus) if e not in coloring]
-    if missing:
-        problems.append(f"{len(missing)} torus edges uncolored (first: {missing[0]})")
-    if not verify_torus_proper(coloring, torus):
-        problems.append("coloring is not proper")
-    used = coloring.colors_used()
-    if len(used) > 2 * n + 1:
-        problems.append(f"{len(used)} colors used, more than {2 * n + 1}")
-    if mode in ("core", "shifted"):
+    colors = palette(n)
+    everywhere = b"\x01" * len(colors)
+    index, classes = _torus_frame(
+        torus.moduli, {ax: (unit_vector(n, ax), everywhere) for ax in range(1, n + 1)}
+    )
+    core_mode = mode in ("core", "shifted")
+    scan = _scan_coloring(
+        coloring.items(),
+        index,
+        classes,
+        len(colors),
+        _color_slots(n),
+        watch=2 * n if core_mode else -1,
+    )
+    problems = _scan_problems(scan, n * torus.vertex_count(), index, colors)
+    if core_mode:
         allowed = allowed_core_edges(tiling, shifts)
-        extra = P(n + 1)
-        for edge, color in sorted(coloring.items()):
-            if color == extra and edge not in allowed:
-                problems.append(f"extra color escapes the cores at {edge}")
+        escaped = [e for e in scan.watched if e not in allowed]
+        if escaped:
+            problems.append(
+                f"extra color escapes the cores at {escaped[0]} "
+                f"({len(escaped)} edges in all)"
+            )
     return TilingReport(not problems, tuple(problems))

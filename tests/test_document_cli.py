@@ -16,7 +16,12 @@ from chromatile.errors import InvalidInputError
 from chromatile.grid import Box, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
-from chromatile.rectcolor import color_bc1, verify_boundary_condition, verify_proper
+from chromatile.rectcolor import (
+    color_bc1,
+    verify_boundary_condition,
+    verify_proper,
+    verify_shifted_core,
+)
 from chromatile.render import render_svg
 from chromatile.tiling import brick_tiling, color_tiling
 
@@ -179,6 +184,42 @@ class TestCli:
         assert "respecting_labelings=0" in capsys.readouterr().out
         assert main(["lowerbound", "--moduli", "4", "--search", "matchings"]) == 0
         assert "found" in capsys.readouterr().out
+
+    def test_negative_vector_after_a_space(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main([
+            "color-rect", "--sizes", "10,10", "--mode", "shifted", "--t", "-2,0",
+            "--origin", "-3,-1", "--out", str(out),
+        ]) == 0
+        doc = parse_coloring_document(out.read_text(encoding="utf-8"))
+        box = Box((-3, -1), (10, 10))
+        assert verify_shifted_core(doc.coloring, box, (-2, 0))
+        torus = tmp_path / "t.txt"
+        assert main([
+            "color-torus", "--moduli", "13,13", "--d", "6", "--offsets", "-1,3",
+            "--out", str(torus),
+        ]) == 0
+        # a negative value that is not a vector is still invalid input
+        assert main(["color-rect", "--sizes", "-2,2", "--mode", "bc1"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["color-rect", "--mode", "bc1"],
+            ["color-rect", "--sizes", "2,2", "--mode", "plaid"],
+            ["color-torus", "--moduli", "13,13", "--d", "six"],
+            ["lowerbound", "--moduli", "3,3", "--search", "chi", "--bogus"],
+        ],
+    )
+    def test_usage_errors_are_invalid_input(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["color-rect", "--help"]) == 0
+        assert "--sizes" in capsys.readouterr().out
 
     def test_determinism_bytes(self, genset_file, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

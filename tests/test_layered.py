@@ -9,6 +9,7 @@ from chromatile.layered import (
     ZERO,
     build_model,
     level_color_name,
+    level_palette,
     run_pipeline,
     verify_layered,
 )
@@ -188,3 +189,103 @@ class TestRunLayered:
                 )
                 ks = run.result.k_sets[level]
                 assert base in ks and torus.add(base, step) in ks
+
+
+def reference_layered_problems(result, s, moduli):
+    """The dict-of-sets reading of the layered conditions, for comparison."""
+    torus = Torus(tuple(moduli))
+    coloring = result.coloring
+    expected = {(x, u) for x in torus.vertices() for u in s.pairs()}
+    if set(coloring.edges()) != expected:
+        return ["totality"]
+    level_of = {b: m.level for m in result.models for b in m.basis}
+    for (base, step), color in coloring.items():
+        level = level_of[step]
+        chart_dim = result.models[level].chart_dim
+        if color != ZERO and color not in level_palette(level, chart_dim):
+            return ["palette"]
+        if color == ZERO:
+            ks = result.k_sets[level]
+            if base not in ks or torus.add(base, step) not in ks:
+                return ["escapes"]
+    at_vertex = {}
+    for (base, step), color in coloring.items():
+        for v in (base, torus.add(base, step)):
+            if color in at_vertex.setdefault(v, set()):
+                return ["twice"]
+            at_vertex[v].add(color)
+    return []
+
+
+class TestLayeredVerifier:
+    """verify_layered against single-edge mutations of a two-level run."""
+
+    MODULI = (13,)
+
+    @pytest.fixture
+    def run13(self):
+        # the smallest two-level run with color 0 in use
+        run = run_pipeline(S_ONE_TWO, self.MODULI, d_override=6)
+        assert run.report.ok and run.report.zero_edges > 0
+        return run
+
+    def mutant(self, run, coloring):
+        from dataclasses import replace
+
+        from chromatile.rectcolor import EdgeColoring
+
+        return replace(run.result, coloring=EdgeColoring(coloring))
+
+    def test_every_single_edge_recolor(self, run13):
+        good = dict(run13.result.coloring.items())
+        colors = sorted(set(good.values()))
+        assert len(colors) == len(S_ONE_TWO) + 1
+        rejected = 0
+        for key, color in good.items():
+            for wrong in colors:
+                if wrong == color:
+                    continue
+                result = self.mutant(run13, {**good, key: wrong})
+                report = verify_layered(result, S_ONE_TWO, self.MODULI)
+                expected = reference_layered_problems(result, S_ONE_TWO, self.MODULI)
+                assert report.ok == (not expected), (key, wrong)
+                rejected += not report.ok
+        assert rejected == len(good) * (len(colors) - 1)
+
+    def test_deleted_edge_trips_totality(self, run13):
+        good = dict(run13.result.coloring.items())
+        del good[((5,), (2,))]
+        report = verify_layered(self.mutant(run13, good), S_ONE_TWO, self.MODULI)
+        assert not report.ok
+        assert any("totality" in p and "1 missing" in p for p in report.problems)
+
+    @pytest.mark.parametrize("alien", [((13,), (1,)), ((0,), (3,)), ((0, 0), (1,)), (0,)])
+    def test_alien_key_rejected(self, run13, alien):
+        good = dict(run13.result.coloring.items())
+        report = verify_layered(
+            self.mutant(run13, {**good, alien: "c1@0"}), S_ONE_TWO, self.MODULI
+        )
+        assert not report.ok
+        assert any("totality" in p and "1 alien" in p for p in report.problems)
+
+    def test_zero_outside_the_cores_rejected(self, run13):
+        good = dict(run13.result.coloring.items())
+        cores = set().union(*run13.result.k_sets)
+        key = next(k for k in sorted(good) if k[0] not in cores)
+        report = verify_layered(
+            self.mutant(run13, {**good, key: ZERO}), S_ONE_TWO, self.MODULI
+        )
+        assert not report.ok
+        assert any("color 0 escapes" in p for p in report.problems)
+
+    def test_other_level_and_off_palette_colors_rejected(self, run13):
+        good = dict(run13.result.coloring.items())
+        key = ((3,), (1,))  # a level-0 edge
+        other = verify_layered(
+            self.mutant(run13, {**good, key: "c1@1"}), S_ONE_TWO, self.MODULI
+        )
+        assert any("another level's palette" in p for p in other.problems)
+        alien = verify_layered(
+            self.mutant(run13, {**good, key: "c9@0"}), S_ONE_TWO, self.MODULI
+        )
+        assert any("outside the palette" in p for p in alien.problems)

@@ -234,3 +234,84 @@ class TestVerifiers:
             {e: (P(2) if e == GridEdge((-1,), 1) else c[e]) for e in c.edges()}
         )
         assert not verify_boundary_condition(broken, box)
+
+
+def reference_box_holds(coloring, box, t=None):
+    """The condition read literally: restrict, check properness, boundary
+    colors and (with t) core confinement."""
+    inner, adj = edges_in(box), adjacent_edges(box)
+    if set(coloring.edges()) != set(inner) | set(adj):
+        return False
+    if not coloring.colors_used() <= set(palette(box.n)):
+        return False
+    if not verify_proper(coloring) or any(coloring[e] != C(e.axis) for e in adj):
+        return False
+    if t is None:
+        return True
+    core = set(edges_in(box.shifted_core(t)))
+    return all(e in core for e, c in coloring.items() if c == P(box.n + 1))
+
+
+class TestOnePassVerifiers:
+    """The box verifiers also reject alien keys and off-palette colors."""
+
+    def test_every_single_edge_recolor(self):
+        box = Box((1, -2), (10, 10))
+        t = (2, 0)
+        good = dict(color_shifted_core(box, t).items())
+        rejected = 0
+        for edge, color in good.items():
+            for wrong in palette(2):
+                if wrong == color:
+                    continue
+                mutant = EdgeColoring({**good, edge: wrong})
+                verdict = verify_shifted_core(mutant, box, t)
+                assert verdict == reference_box_holds(mutant, box, t), (edge, wrong)
+                boundary = verify_boundary_condition(mutant, box)
+                assert boundary == reference_box_holds(mutant, box), (edge, wrong)
+                rejected += not verdict
+        assert rejected >= 0.95 * len(good) * 4
+
+    @pytest.mark.parametrize(
+        "alien",
+        [
+            GridEdge((-1, -1), 1),  # parallel to the adjacent edges, past the corner
+            GridEdge((7, 0), 1),  # one step beyond an adjacent edge
+            GridEdge((0, -2), 2),
+            GridEdge((0, 0, 0), 1),
+            GridEdge((0, 0), 3),
+        ],
+    )
+    def test_alien_adjacent_looking_key(self, alien):
+        box = Box((0, 0), (6, 6))
+        c = color_core(box)
+        mutant = EdgeColoring({**dict(c.items()), alien: C(1)})
+        assert verify_boundary_condition(c, box)
+        assert not verify_boundary_condition(mutant, box)
+        assert not verify_shifted_core(mutant, box, (0, 0))
+
+    @pytest.mark.parametrize("wrong", [P(4), C(3), "1"])
+    def test_off_palette_color(self, wrong):
+        box = Box((0, 0), (6, 6))
+        good = dict(color_core(box).items())
+        mutant = EdgeColoring({**good, GridEdge((2, 3), 1): wrong})
+        assert not verify_boundary_condition(mutant, box)
+        assert not verify_shifted_core(mutant, box, (0, 0))
+
+    def test_missing_edge_raises_even_with_an_alien_key(self):
+        box = Box((0, 0), (6, 6))
+        good = dict(color_core(box).items())
+        del good[GridEdge((2, 3), 1)]
+        with pytest.raises(InvalidInputError):
+            verify_boundary_condition(EdgeColoring(good), box)
+        good[GridEdge((-1, -1), 1)] = C(1)  # same count as a total coloring
+        with pytest.raises(InvalidInputError):
+            verify_boundary_condition(EdgeColoring(good), box)
+        with pytest.raises(InvalidInputError):
+            verify_shifted_core(EdgeColoring(good), box, (0, 0))
+
+    def test_shifted_core_checks_the_boundary_condition(self):
+        box = Box((0,), (6,))
+        good = dict(color_core(box).items())
+        broken = EdgeColoring({**good, GridEdge((6,), 1): P(1)})
+        assert not verify_shifted_core(broken, box, (0,))

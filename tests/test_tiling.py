@@ -5,7 +5,7 @@ import pytest
 from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import Box, GridEdge, SchreierGraphView, Torus, edges_in
 from chromatile.lattice import GeneratorSet
-from chromatile.rectcolor import C, P
+from chromatile.rectcolor import C, EdgeColoring, P, palette
 from chromatile.tiling import (
     Tiling,
     allowed_core_edges,
@@ -206,8 +206,7 @@ class TestColorTiling:
             assert report.ok, report.problems
             assert len(coloring.colors_used()) <= 7
 
-    def test_threaded_verification(self, monkeypatch):
-        monkeypatch.setenv("CHROMATILE_THREADS", "4")
+    def test_core_torus_verification(self):
         tiling = brick_tiling(Torus((13, 13)), 6, offsets=(0, 3))
         coloring = color_tiling(tiling, mode="core")
         report = verify_tiling_coloring(coloring, tiling, "core")
@@ -220,3 +219,97 @@ class TestColorTiling:
             color_tiling(tiling, mode="core")
         with pytest.raises(InvalidInputError):
             color_tiling(brick_tiling(Torus((12,)), 6), mode="nonsense")
+
+
+def reference_torus_problems(coloring, tiling, mode):
+    """The dict-of-sets reading of the torus conditions, for comparison."""
+    torus = tiling.torus
+    n = torus.n
+    expected = {GridEdge(v, ax) for v in torus.vertices() for ax in range(1, n + 1)}
+    if set(coloring.edges()) != expected:
+        return ["totality"]
+    if not coloring.colors_used() <= set(palette(n)):
+        return ["palette"]
+    at_vertex = {}
+    for edge, color in coloring.items():
+        up = torus.add(edge.base, tuple(1 if i == edge.axis - 1 else 0 for i in range(n)))
+        for v in (edge.base, up):
+            if color in at_vertex.setdefault(v, set()):
+                return ["twice"]
+            at_vertex[v].add(color)
+    if mode in ("core", "shifted"):
+        allowed = allowed_core_edges(tiling)
+        if any(c == P(n + 1) and e not in allowed for e, c in coloring.items()):
+            return ["escapes"]
+    return []
+
+
+class TestTorusVerifier:
+    """verify_tiling_coloring against single-edge mutations."""
+
+    @pytest.fixture
+    def core13(self):
+        tiling = brick_tiling(Torus((13, 13)), 6, offsets=(0, 3))
+        return tiling, color_tiling(tiling, mode="core")
+
+    def test_every_single_edge_recolor(self, core13):
+        tiling, coloring = core13
+        good = dict(coloring.items())
+        rejected = 0
+        for edge, color in good.items():
+            for wrong in palette(2):
+                if wrong == color:
+                    continue
+                mutant = EdgeColoring({**good, edge: wrong})
+                report = verify_tiling_coloring(mutant, tiling, "core")
+                assert report.ok == (not reference_torus_problems(mutant, tiling, "core"))
+                rejected += not report.ok
+        # a recolor can only survive where both endpoints miss the same color
+        assert rejected >= 0.95 * len(good) * 4
+
+    def test_deleted_edge_trips_totality(self, core13):
+        tiling, coloring = core13
+        good = dict(coloring.items())
+        del good[GridEdge((4, 7), 2)]
+        report = verify_tiling_coloring(EdgeColoring(good), tiling, "core")
+        assert not report.ok
+        assert any("totality" in p and "1 missing" in p for p in report.problems)
+
+    @pytest.mark.parametrize(
+        "alien", [GridEdge((13, 0), 1), GridEdge((0, 0), 3), GridEdge((0, 0, 0), 1), "x"]
+    )
+    def test_alien_key_rejected(self, core13, alien):
+        tiling, coloring = core13
+        mutant = EdgeColoring({**dict(coloring.items()), alien: C(1)})
+        report = verify_tiling_coloring(mutant, tiling, "core")
+        assert not report.ok
+        assert any("1 alien" in p for p in report.problems)
+
+    def test_alien_key_in_place_of_an_edge(self, core13):
+        tiling, coloring = core13
+        good = dict(coloring.items())
+        color = good.pop(GridEdge((0, 0), 1))
+        good[GridEdge((13, 0), 1)] = color  # the same edge, base not reduced
+        report = verify_tiling_coloring(EdgeColoring(good), tiling, "core")
+        assert not report.ok
+        assert any("1 missing, 1 alien" in p for p in report.problems)
+
+    def test_extra_color_outside_cores_rejected(self, core13):
+        tiling, coloring = core13
+        allowed = allowed_core_edges(tiling)
+        edge = next(e for e in sorted(coloring.edges()) if e not in allowed)
+        mutant = EdgeColoring({**dict(coloring.items()), edge: P(3)})
+        report = verify_tiling_coloring(mutant, tiling, "core")
+        assert not report.ok
+        assert any("escapes the cores" in p for p in report.problems)
+        # plain mode lets the extra color go anywhere
+        plain = color_tiling(tiling, mode="plain")
+        assert verify_tiling_coloring(plain, tiling, "plain").ok
+
+    @pytest.mark.parametrize("wrong", [P(4), C(3), "1"])
+    def test_off_palette_color_rejected(self, core13, wrong):
+        tiling, coloring = core13
+        mutant = EdgeColoring({**dict(coloring.items()), GridEdge((5, 5), 1): wrong})
+        report = verify_tiling_coloring(mutant, tiling, "core")
+        assert not report.ok
+        assert any("palette" in p for p in report.problems)
