@@ -1,0 +1,64 @@
+"""Golden output: the CLI's bytes, pinned by sha256.
+
+Each command runs in-process through ``chromatile.cli.main``; the
+digest covers its stdout, or the file it writes with ``--out``.  A
+refactor that keeps behaviour keeps every digest; a deliberate change
+to an output format must record the new digests here.
+"""
+
+import hashlib
+
+import pytest
+
+from chromatile.cli import main
+
+GENSET = "n=1\n1\n2\n"
+
+# (name, argv, output file or None for stdout, sha256)
+GOLDEN = [
+    ("decompose", ["decompose", "{genset}", "--symmetrize"], None,
+     "40db2ffe972c1e4b2161e8d7f47e9026046a73ca118233b1c4c156ace47473b8"),
+    ("rect-core", ["color-rect", "--sizes", "6,6", "--mode", "core"], None,
+     "cc32ab81d7d62d87d0b848b9cfc431ef4646ddcd29a1b5ba51bb817a841d1ca9"),
+    ("torus-core", ["color-torus", "--moduli", "13,13", "--d", "6",
+                    "--mode", "core", "--seed", "9"], None,
+     "c8d2c520eec15e39fd8476049e7169b180d06ee2e1c6060dfcb06f123c64e724"),
+    ("layered", ["layered", "--genset", "{genset}", "--symmetrize",
+                 "--moduli", "6277"], None,
+     "b60e9a7db1a31c99deccbd563aadceda43ad9ad1675f30f5edbeb7b64900b646"),
+    ("lowerbound", ["lowerbound", "--moduli", "3,3", "--search", "chi"], None,
+     "0cf124e4ee66312be4964dc5a50cebb016c602826b1c1e6966da4ee8eca7da91"),
+    ("layered-out", ["layered", "--genset", "{genset}", "--symmetrize",
+                     "--moduli", "6277", "--out", "{out}"], "out",
+     "14103fe5e27f7f58213715158f5bbb2a05747c6fc4987382f6c4f9fe516abd05"),
+    ("torus-out", ["color-torus", "--moduli", "13,13", "--d", "6",
+                   "--mode", "core", "--seed", "9", "--out", "{out}"], "out",
+     "c8d2c520eec15e39fd8476049e7169b180d06ee2e1c6060dfcb06f123c64e724"),
+    ("rect-shifted", ["color-rect", "--sizes", "10,10", "--mode", "shifted",
+                      "--t", "-2,0"], None,
+     "5d96f658f87020a61ad095cc647894d28a1f3032e796fd1b0052844e8b4f5e17"),
+    ("render", ["render", "--in", "{torus}", "--out", "{out}"], "out",
+     "a691941cf072fd477210f7015a3207005f173fdb137e79c77a0141896d1bf93c"),
+]
+
+
+def _digest(name, argv, target, tmp_path, capsys):
+    paths = {
+        "genset": tmp_path / "g.txt",
+        "out": tmp_path / f"{name}.out",
+        "torus": tmp_path / "torus.txt",
+    }
+    paths["genset"].write_text(GENSET, encoding="utf-8")
+    if "{torus}" in argv:
+        assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core",
+                     "--seed", "9", "--out", str(paths["torus"])]) == 0
+    capsys.readouterr()
+    assert main([a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    data = paths[target].read_bytes() if target else stdout
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name,argv,target,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_digest(name, argv, target, expected, tmp_path, capsys):
+    assert _digest(name, argv, target, tmp_path, capsys) == expected
