@@ -58,7 +58,6 @@ from .lowerbound import (
 )
 from .rectcolor import (
     C,
-    Color,
     EdgeColoring,
     P,
     color_bc1,

@@ -208,10 +208,11 @@ def cmd_render(args: argparse.Namespace) -> int:
         doc = parse_coloring_document(fh.read())
     slices = {}
     for pin in args.slice or []:
-        if "=" not in pin:
-            raise InvalidInputError(f"bad --slice {pin!r}, expected axis=value")
-        ax, val = pin.split("=", 1)
-        slices[int(ax)] = int(val)
+        try:
+            ax, val = (int(p) for p in pin.split("="))
+        except ValueError as exc:
+            raise InvalidInputError(f"bad --slice {pin!r}, expected axis=value") from exc
+        slices[ax] = val
     svg = render_svg(doc, slices)
     _write_out(args.out, svg)
     return EXIT_OK
@@ -327,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ChromatileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

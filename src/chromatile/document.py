@@ -15,7 +15,7 @@ from .errors import InvalidInputError
 from .grid import GridEdge, Vertex
 from .lattice import Vector
 from .layered import LayeredResult
-from .rectcolor import EdgeColoring, palette, parse_color
+from .rectcolor import EdgeColoring, palette
 
 COLORING_FORMAT = "chromatile/coloring/v1"
 LAYERED_FORMAT = "chromatile/layered/v1"
@@ -40,7 +40,7 @@ class ColoringDocument:
     n: int
     meta: dict[str, str]  # origin/sizes or moduli, mode, d, t, seed, offsets
     legend: list[str]
-    coloring: EdgeColoring  # GridEdge -> Color
+    coloring: EdgeColoring  # GridEdge -> color name
 
     def __post_init__(self) -> None:
         if self.kind not in ("rect", "torus"):
@@ -58,8 +58,7 @@ def document_for_rect(
     meta = {"origin": fmt_vec(box_origin), "sizes": fmt_vec(sizes), "mode": mode}
     if t is not None:
         meta["t"] = fmt_vec(t)
-    legend = [str(c) for c in palette(n)]
-    return ColoringDocument("rect", n, meta, legend, coloring)
+    return ColoringDocument("rect", n, meta, palette(n), coloring)
 
 
 def document_for_torus(
@@ -76,8 +75,7 @@ def document_for_torus(
         meta["seed"] = str(seed)
     if offsets is not None:
         meta["offsets"] = fmt_vec(offsets)
-    legend = [str(c) for c in palette(n)]
-    return ColoringDocument("torus", n, meta, legend, coloring)
+    return ColoringDocument("torus", n, meta, palette(n), coloring)
 
 
 _META_ORDER = ["origin", "sizes", "moduli", "mode", "d", "t", "seed", "offsets"]
@@ -90,7 +88,7 @@ def serialize_coloring(doc: ColoringDocument) -> str:
             lines.append(f"{key}={doc.meta[key]}")
     legend = set(doc.legend)
     for edge, color in doc.coloring.items():
-        if str(color) not in legend:
+        if color not in legend:
             raise InvalidInputError(f"color {color} missing from the legend")
     lines.append("palette=" + ",".join(doc.legend))
     records = sorted(doc.coloring.items())
@@ -114,19 +112,37 @@ def _split_header(lines: list[str]) -> tuple[dict[str, str], int]:
     return header, len(lines)
 
 
+def _field(header: dict[str, str], key: str, convert=int):
+    """A header value converted, with InvalidInputError when missing or malformed."""
+    if key not in header:
+        raise InvalidInputError(f"missing {key}= header")
+    try:
+        return convert(header[key])
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {key}= header {header[key]!r}") from exc
+
+
+def _int(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad integer {text!r} in {line!r}") from exc
+
+
 def parse_coloring_document(text: str) -> ColoringDocument:
     lines = text.splitlines()
     header, body_start = _split_header(lines)
     if header.get("format") != COLORING_FORMAT:
         raise InvalidInputError(f"not a {COLORING_FORMAT} document")
     kind = header.get("kind", "")
-    try:
-        n = int(header["n"])
-        count = int(header["edges"])
-    except (KeyError, ValueError) as exc:
-        raise InvalidInputError("missing or bad n=/edges= header") from exc
+    n = _field(header, "n")
+    count = _field(header, "edges")
+    if kind == "torus" and len(_field(header, "moduli", parse_vec)) != n:
+        raise InvalidInputError(f"moduli= does not fit dimension {n}")
     legend = [c for c in header.get("palette", "").split(",") if c]
     legal = set(legend)
+    if not legal <= set(palette(n)):
+        raise InvalidInputError(f"palette= names a color outside palette({n})")
     coloring = EdgeColoring()
     body = [ln for ln in lines[body_start:] if ln.strip()]
     if len(body) != count:
@@ -136,7 +152,7 @@ def parse_coloring_document(text: str) -> ColoringDocument:
         if len(parts) != 3:
             raise InvalidInputError(f"bad edge record {line!r}")
         base = parse_vec(parts[0])
-        axis = int(parts[1])
+        axis = _int(parts[1], line)
         if len(base) != n or not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
         if parts[2] not in legal:
@@ -144,7 +160,7 @@ def parse_coloring_document(text: str) -> ColoringDocument:
         edge = GridEdge(base, axis)
         if edge in coloring:
             raise InvalidInputError(f"edge {edge} appears twice")
-        coloring.write(edge, parse_color(parts[2]))
+        coloring.write(edge, parts[2])
     meta = {k: v for k, v in header.items() if k in _META_ORDER}
     return ColoringDocument(kind, n, meta, legend, coloring)
 
@@ -240,8 +256,8 @@ def parse_layered_document(text: str) -> LayeredDocument:
         header[key] = value
     if header.get("format") != LAYERED_FORMAT:
         raise InvalidInputError(f"not a {LAYERED_FORMAT} document")
-    n = int(header["n"])
-    levels = int(header["levels"])
+    n = _field(header, "n")
+    levels = _field(header, "levels")
     k_sets = []
     for level in range(levels):
         raw = header.get(f"kset{level}", "")
@@ -249,10 +265,13 @@ def parse_layered_document(text: str) -> LayeredDocument:
     shifts = []
     for ln in shift_lines:
         parts = [p.strip() for p in ln.split(";")]
-        shifts.append((int(parts[0]), parse_vec(parts[1]), int(parts[2]), int(parts[3])))
+        if len(parts) != 4:
+            raise InvalidInputError(f"bad shift line {ln!r}")
+        level, rep, idx, a = parts
+        shifts.append((_int(level, ln), parse_vec(rep), _int(idx, ln), _int(a, ln)))
     legend = [c for c in header.get("palette", "").split(",") if c]
     legal = set(legend)
-    count = int(header["edges"])
+    count = _field(header, "edges")
     if len(record_lines) != count:
         raise InvalidInputError(f"expected {count} edge records, found {len(record_lines)}")
     coloring: dict[tuple[Vertex, Vector], str] = {}
@@ -269,13 +288,13 @@ def parse_layered_document(text: str) -> LayeredDocument:
         coloring[key] = color
     return LayeredDocument(
         n=n,
-        moduli=parse_vec(header["moduli"]),
-        generators=[parse_vec(g) for g in header["generators"].split("|") if g],
+        moduli=_field(header, "moduli", parse_vec),
+        generators=[parse_vec(g) for g in _field(header, "generators", str).split("|") if g],
         levels=levels,
-        d=int(header["d"]),
-        alpha=int(header["alpha"]),
-        beta=int(header["beta"]),
-        s=parse_vec(header["s"]),
+        d=_field(header, "d"),
+        alpha=_field(header, "alpha"),
+        beta=_field(header, "beta"),
+        s=_field(header, "s", parse_vec),
         k_sets=k_sets,
         shifts=shifts,
         legend=legend,

@@ -1,8 +1,8 @@
 """Boxes, grid edges, tori and Schreier graphs of Z^n actions.
 
 Axes are 1-based throughout, matching the color names c1..cn used by
-the rectangle colorers.  All values are immutable, so everything here
-is safe to share across threads.
+the rectangle colorers.  Boxes, edges, tori and graph views are
+immutable values.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, VerificationError
 
 Vector = tuple[int, ...]
 
@@ -419,7 +419,8 @@ def decompose(s: GeneratorSet) -> Decomposition:
                 deferred.append(v)
         layers.append(GeneratorSet.from_vectors(layer))
         remaining = deferred
-    assert len(layers[0].pairs()) == s.dimension, "first layer must have rank n"
+    if len(layers[0].pairs()) != s.dimension:
+        raise VerificationError("first layer must have rank n")
 
     ks: list[int] = []
     for i in range(1, len(layers)):
@@ -457,7 +458,8 @@ def compute_constants(dec: Decomposition) -> Decomposition:
             raise ValueError(
                 f"no integer expansion of beta*s in layer {i}: decomposition invariant broken"
             )
-        assert all(a % 2 == 0 for a in sol), "beta*s coordinates must all be even"
+        if any(a % 2 for a in sol):
+            raise VerificationError("beta*s coordinates must all be even")
         a_coeffs[i] = sol
 
     gamma = 0
@@ -466,7 +468,8 @@ def compute_constants(dec: Decomposition) -> Decomposition:
             gamma = max(gamma, abs(a))
 
     d = 4 * 2 * (gamma + 1) * (alpha + 1) * (beta + 1) * s_norm + 2
-    assert d % 4 == 2
+    if d % 4 != 2:
+        raise VerificationError(f"marker distance {d} is not congruent to 2 mod 4")
     return replace(
         dec,
         alpha=alpha,

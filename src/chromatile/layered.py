@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     SchreierGraphView,
     Torus,
@@ -45,7 +45,7 @@ from .lattice import (
     integer_kernel,
     vscale,
 )
-from .rectcolor import Color, EdgeColoring, color_bc2, color_shifted_core
+from .rectcolor import EdgeColoring, P, color_bc2, color_shifted_core, palette
 from .tiling import (
     Tiling,
     brick_tiling,
@@ -171,10 +171,12 @@ def build_model(
             reps.append(v)
             count = 0
             for _, w in probe.orbit_points(v):
-                assert w not in seen, "chart is not injective on the orbit"
+                if w in seen:
+                    raise VerificationError("chart is not injective on the orbit")
                 seen.add(w)
                 count += 1
-            assert count == orbit_size
+            if count != orbit_size:
+                raise VerificationError(f"orbit of {v} has {count} points, not {orbit_size}")
         models.append(CosetModel(level, torus.moduli, basis, chart_moduli, tuple(reps)))
     return models
 
@@ -192,11 +194,16 @@ def plan_tilings(
     return tilings
 
 
-def level_color_name(color: Color, level: int, chart_dim: int) -> str:
-    """Map a region-local color onto the level palette; n_i+1 becomes 0."""
-    if color.kind == "p" and color.index == chart_dim + 1:
+def level_color_name(color: str, level: int, chart_dim: int) -> str:
+    """Map a region-local color onto the level palette; n_i+1 becomes 0.
+
+    c_j becomes "c{j}@{level}" and plain j becomes "p{j}@{level}".
+    """
+    if color == P(chart_dim + 1):
         return ZERO
-    return f"{color.kind}{color.index}@{level}"
+    if color.startswith("c"):
+        return f"{color}@{level}"
+    return f"p{color}@{level}"
 
 
 def level_palette(level: int, chart_dim: int) -> list[str]:
@@ -215,9 +222,6 @@ class LayeredResult:
     dec: Decomposition
     d: int
     moduli: tuple[int, ...]
-
-    def colors_used(self) -> set[str]:
-        return self.coloring.colors_used()
 
 
 def run_layered(
@@ -263,6 +267,7 @@ def run_layered(
                 f"level {level} tiling invalid: " + "; ".join(report.problems)
             )
         ni = model.chart_dim
+        names = {c: level_color_name(c, level, ni) for c in palette(ni)}
         chart_torus = model.chart_torus()
         coeffs = dec.a_coeffs[level]
         for rep in model.reps:
@@ -287,19 +292,22 @@ def run_layered(
                         )
                     a, translated = chosen
                     t = tuple(a * c for c in coeffs)
-                    assert all(ti % 2 == 0 for ti in t)
+                    if any(ti % 2 for ti in t):
+                        raise VerificationError(f"core shift {t} has an odd coordinate")
                     if any(abs(ti) > shift_bound for ti in t):
                         raise InfeasibleError(
                             f"core shift {t} at level {level} exceeds the "
                             f"admissible range +-{shift_bound} for d = {d}"
                         )
                     shifted_box = region.shifted_core(t)
-                    assert all(region.contains(v) for v in shifted_box.vertices())
+                    if not all(region.contains(v) for v in shifted_box.vertices()):
+                        raise VerificationError(f"shifted core {shifted_box} leaves its region")
                     image = {
                         model.to_ambient(rep, chart_torus.reduce(v))
                         for v in shifted_box.vertices()
                     }
-                    assert image == translated, "chart/ambient shift disagreement"
+                    if image != translated:
+                        raise VerificationError("chart/ambient shift disagreement")
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
                     local = color_shifted_core(region, t)
@@ -309,7 +317,7 @@ def run_layered(
                     zbase = chart_torus.reduce(edge.base)
                     base_amb = model.to_ambient(rep, zbase)
                     key = (base_amb, model.basis[edge.axis - 1])
-                    coloring.write(key, level_color_name(color, level, ni))
+                    coloring.write(key, names[color])
         busy |= k_sets[level]
 
     return LayeredResult(

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, VerificationError
 from .grid import SchreierGraphView, Torus, Vertex
 from .lattice import GeneratorSet, Vector, vneg
 
@@ -139,7 +139,8 @@ def induced_matching(labeling: TorusLabeling, s: GeneratorSet) -> set[frozenset[
     for e in matching:
         for v in e:
             covered[v] = covered.get(v, 0) + 1
-    assert all(c == 1 for c in covered.values()) and len(covered) == torus.vertex_count()
+    if any(c != 1 for c in covered.values()) or len(covered) != torus.vertex_count():
+        raise VerificationError("induced edges do not form a perfect matching")
     return matching
 
 

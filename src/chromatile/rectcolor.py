@@ -26,12 +26,11 @@ silently improper coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .errors import ColorConflictError, InfeasibleError, InvalidInputError
+from .errors import ColorConflictError, InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
     GridEdge,
@@ -48,42 +47,19 @@ from .grid import (
 from .lattice import Vector
 
 
-@dataclass(frozen=True)
-class Color:
-    """Either a direction color c_i (kind "c") or a plain color j (kind "p")."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("c", "p") or self.index < 1:
-            raise InvalidInputError(f"bad color {self.kind}{self.index}")
-
-    def __str__(self) -> str:
-        return f"c{self.index}" if self.kind == "c" else str(self.index)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.kind == "c" else 1, self.index)
+def C(i: int) -> str:
+    """The direction color c_i."""
+    return f"c{i}"
 
 
-def C(i: int) -> Color:
-    return Color("c", i)
+def P(j: int) -> str:
+    """The plain color j."""
+    return str(j)
 
 
-def P(j: int) -> Color:
-    return Color("p", j)
-
-
-def palette(n: int) -> list[Color]:
+def palette(n: int) -> list[str]:
     """The 2n+1 colors c_1..c_n, 1..n+1 in canonical order."""
     return [C(i) for i in range(1, n + 1)] + [P(j) for j in range(1, n + 2)]
-
-
-def parse_color(name: str) -> Color:
-    name = name.strip()
-    if name.startswith("c"):
-        return C(int(name[1:]))
-    return P(int(name))
 
 
 class EdgeColoring:
@@ -163,15 +139,15 @@ def _vertex_colors(coloring: EdgeColoring, v: Vertex, axes: Sequence[int]) -> se
     return seen
 
 
-def _pick_free(candidates: Sequence[Color], taken: set) -> Color:
+def _pick_free(candidates: Sequence[str], taken: set) -> str:
     for c in candidates:
         if c not in taken:
             return c
-    raise AssertionError("no free color; candidate accounting is broken")
+    raise VerificationError("no free color; candidate accounting is broken")
 
 
 def _alternate_path(
-    coloring: EdgeColoring, start: Vertex, axis: int, count: int, first: Color, second: Color
+    coloring: EdgeColoring, start: Vertex, axis: int, count: int, first: str, second: str
 ) -> None:
     """Color ``count`` consecutive axis-parallel edges first, second, first, ..."""
     base = list(start)
@@ -217,7 +193,8 @@ def _bc1(origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]) -> EdgeC
     candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, dim + 1)]
     for pos in _vertices(origin, layer_sizes):
         taken = _vertex_colors(layer, pos, rest)
-        assert len(taken) == 2 * dim - 2, "layer vertex is missing incident colors"
+        if len(taken) != 2 * dim - 2:
+            raise VerificationError("layer vertex is missing incident colors")
         free = _pick_free(candidates, taken)
         _alternate_path(coloring, pos, peel, a_peel, free, P(dim + 1))
     return coloring
@@ -254,7 +231,8 @@ def _bc2(origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> EdgeColoring:
     candidates = [C(ax) for ax in rest] + [P(j) for j in range(1, n + 1)]
     for pos in _vertices(origin, layer_sizes):
         taken = _vertex_colors(layer, pos, rest)
-        assert len(taken) == 2 * n - 2
+        if len(taken) != 2 * n - 2:
+            raise VerificationError("layer vertex is missing incident colors")
         free = _pick_free(candidates, taken)
         _alternate_path(coloring, pos, odd_axis, a_peel, free, C(odd_axis))
     return coloring
@@ -423,26 +401,6 @@ def verify_proper(coloring: EdgeColoring) -> bool:
     return True
 
 
-def _color_slots(n: int):
-    """Map a color of palette(n) to its slot (c_i -> i - 1, j -> n + j - 1).
-
-    Reads the two fields instead of hashing the Color, which costs far
-    more; anything that is not a palette color maps to None.
-    """
-    slots = {
-        "c": {i: i - 1 for i in range(1, n + 1)},
-        "p": {j: n + j - 1 for j in range(1, n + 2)},
-    }
-
-    def slot_of(color) -> Optional[int]:
-        try:
-            return slots[color.kind].get(color.index)
-        except (AttributeError, KeyError):
-            return None
-
-    return slot_of
-
-
 def _box_edge_count(sizes: Sequence[int]) -> int:
     """Edges in a box plus its adjacent edges.
 
@@ -468,9 +426,8 @@ def _scan_box(
     """
     slot_count = 2 * box.n + 1
     index, classes = _box_frame(box, b"\x01" * slot_count)
-    scan = _scan_coloring(
-        coloring.items(), index, classes, slot_count, _color_slots(box.n), watch
-    )
+    slot_of = {color: slot for slot, color in enumerate(palette(box.n))}.get
+    scan = _scan_coloring(coloring.items(), index, classes, slot_count, slot_of, watch)
     # valid keys are distinct edges of the set, so fewer means missing ones
     if scan.count < _box_edge_count(box.sizes):
         missing = next(e for e in edges_in(box) + adjacent_edges(box) if e not in coloring)

@@ -61,12 +61,12 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         wraps = moduli is not None and base[axis - 1] == moduli[axis - 1] - 1
         if wraps:
             # draw a stub leaving the frame and a stub entering at 0
-            segments.append((x, y, x + dx * _STUB, y + dy * _STUB, str(color)))
+            segments.append((x, y, x + dx * _STUB, y + dy * _STUB, color))
             ox = 0 if axis == h_ax else x
             oy = 0 if axis == v_ax else y
-            segments.append((ox, oy, ox - dx * _STUB, oy - dy * _STUB, str(color)))
+            segments.append((ox, oy, ox - dx * _STUB, oy - dy * _STUB, color))
         else:
-            segments.append((x, y, x + dx, y + dy, str(color)))
+            segments.append((x, y, x + dx, y + dy, color))
 
     if not segments:
         raise InvalidInputError("nothing to render in the requested slice")

@@ -36,7 +36,6 @@ from .grid import (
 from .lattice import Vector
 from .rectcolor import (
     EdgeColoring,
-    _color_slots,
     color_bc1,
     color_bc2,
     color_core,
@@ -338,7 +337,7 @@ def verify_tiling_coloring(
         index,
         classes,
         len(colors),
-        _color_slots(n),
+        {color: slot for slot, color in enumerate(colors)}.get,
         watch=2 * n if core_mode else -1,
     )
     problems = _scan_problems(scan, n * torus.vertex_count(), index, colors)

@@ -71,6 +71,49 @@ class TestColoringDocuments:
         with pytest.raises(InvalidInputError):
             parse_coloring_document("format=wrong\n")
 
+    @pytest.mark.parametrize(
+        "kind,old,new",
+        [
+            ("rect", "1 ; 1 ; 2", "1 ; x ; 2"),  # non-integer axis
+            ("rect", "palette=c1,1,2", "palette=x5,c1,1,2"),  # not a color name
+            ("rect", "palette=c1,1,2", "palette=c1,1,2,c2"),  # outside palette(1)
+            ("rect", "n=1\n", ""),
+            ("rect", "n=1\n", "n=x\n"),
+            ("rect", "edges=4\n", "edges=four\n"),
+            ("torus", "moduli=13\n", ""),
+            ("torus", "moduli=13\n", "moduli=13,13\n"),
+        ],
+    )
+    def test_malformed_coloring_document(self, kind, old, new):
+        if kind == "rect":
+            box = Box((0,), (2,))
+            doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
+        else:
+            coloring = color_tiling(brick_tiling(Torus((13,)), 6))
+            doc = document_for_torus((13,), 6, "plain", coloring)
+        text = serialize_coloring(doc)
+        assert old in text
+        with pytest.raises(InvalidInputError):
+            parse_coloring_document(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("n=1\n", ""),
+            ("n=1\n", "n=x\n"),
+            ("d=6\n", "d=six\n"),
+            ("generators=1|2\n", ""),
+            ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; 5"),
+            ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; x ; 0"),
+        ],
+    )
+    def test_malformed_layered_document(self, old, new):
+        s = GeneratorSet.from_vectors([(1,), (2,)])
+        text = serialize_layered(document_for_layered(run_pipeline(s, (37,), 6).result))
+        assert old in text
+        with pytest.raises(InvalidInputError):
+            parse_layered_document(text.replace(old, new, 1))
+
     def test_layered_roundtrip(self):
         s = GeneratorSet.from_vectors([(1,), (2,)])
         run = run_pipeline(s, (6277,))
@@ -152,6 +195,22 @@ class TestCli:
         ]) == 0
         assert main(["render", "--in", str(out), "--out", str(svg)]) == 0
         assert svg.read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "body,extra",
+        [
+            (b"edges=1\n0 ; x ; c1\n", []),
+            (b"edges=1\n0 ; 1 ; c1\n", ["--slice", "x=1"]),
+            (b"edges=1\n0 ; 1 ; \xff\n", []),  # not UTF-8
+        ],
+    )
+    def test_render_malformed_input(self, body, extra, tmp_path, capsys):
+        doc = tmp_path / "bad.txt"
+        doc.write_bytes(
+            b"format=chromatile/coloring/v1\nkind=rect\nn=1\npalette=c1,1,2\n" + body
+        )
+        assert main(["render", "--in", str(doc), *extra]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_core_on_odd_sides_is_infeasible(self, capsys):
         assert main(["color-rect", "--sizes", "3,3", "--mode", "core"]) == 3

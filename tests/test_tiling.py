@@ -306,7 +306,7 @@ class TestTorusVerifier:
         plain = color_tiling(tiling, mode="plain")
         assert verify_tiling_coloring(plain, tiling, "plain").ok
 
-    @pytest.mark.parametrize("wrong", [P(4), C(3), "1"])
+    @pytest.mark.parametrize("wrong", [P(4), C(3), 1, "p1"])
     def test_off_palette_color_rejected(self, core13, wrong):
         tiling, coloring = core13
         mutant = EdgeColoring({**dict(coloring.items()), GridEdge((5, 5), 1): wrong})
