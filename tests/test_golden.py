@@ -4,13 +4,19 @@ Each command runs in-process through ``chromatile.cli.main``; the
 digest covers its stdout, or the file it writes with ``--out``.  A
 refactor that keeps behaviour keeps every digest; a deliberate change
 to an output format must record the new digests here.
+
+``test_builder_digest`` pins the rectangle builders the same way, over
+a sweep of boxes, axis orders, odd axes and core shifts.
 """
 
 import hashlib
+from itertools import permutations, product
 
 import pytest
 
 from chromatile.cli import main
+from chromatile.grid import Box
+from chromatile.rectcolor import admissible_shifts, color_bc1, color_bc2, color_shifted_core
 
 GENSET = "n=1\n1\n2\n"
 
@@ -62,3 +68,38 @@ def _digest(name, argv, target, tmp_path, capsys):
 @pytest.mark.parametrize("name,argv,target,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_cli_output_digest(name, argv, target, expected, tmp_path, capsys):
     assert _digest(name, argv, target, tmp_path, capsys) == expected
+
+
+# a nonzero origin, so the digest also covers translation into place
+ORIGIN = (3, -2, 5)
+BUILDER_DIGEST = "ed5f1da47a0a8ec2f7c739d59dd471ec9a20ae5602e0a7ce59a64e23bbb689a5"
+
+
+def _builder_sweep():
+    """Every box with n <= 3 and sides 1..3 under color_bc1 in every axis
+    order and color_bc2 on every odd axis; color_shifted_core for every
+    admissible shift of the side-d cube, d in {2, 6, 10, 14} (n <= 2 for
+    d = 14, where n = 3 has 125 shifts)."""
+    for n in (1, 2, 3):
+        for sizes in product(range(1, 4), repeat=n):
+            box = Box(ORIGIN[:n], sizes)
+            for order in permutations(range(1, n + 1)):
+                yield "bc1", box, order, color_bc1(box, order)
+            for ax in range(1, n + 1):
+                if sizes[ax - 1] % 2:
+                    yield "bc2", box, ax, color_bc2(box, ax)
+        for d in (2, 6, 10, 14):
+            if n == 3 and d == 14:
+                continue
+            box = Box(ORIGIN[:n], (d,) * n)
+            for t in admissible_shifts(d, n):
+                yield "core", box, t, color_shifted_core(box, t)
+
+
+def test_builder_digest():
+    digest = hashlib.sha256()
+    for kind, box, arg, coloring in _builder_sweep():
+        digest.update(f"{kind} {box.origin} {box.sizes} {arg}\n".encode())
+        for edge, color in sorted(coloring.items()):
+            digest.update(f"{edge.base} {edge.axis} {color}\n".encode())
+    assert digest.hexdigest() == BUILDER_DIGEST
