@@ -9,7 +9,7 @@ once and that color names come from the declared legend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InvalidInputError
 from .grid import GridEdge, Vertex
@@ -98,20 +98,6 @@ def serialize_coloring(doc: ColoringDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_header(lines: list[str]) -> tuple[dict[str, str], int]:
-    header = {}
-    for i, line in enumerate(lines):
-        if ";" in line:
-            return header, i
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"bad header line {line!r}")
-        key, value = line.split("=", 1)
-        header[key.strip()] = value.strip()
-    return header, len(lines)
-
-
 def _field(header: dict[str, str], key: str, convert=int):
     """A header value converted, with InvalidInputError when missing or malformed."""
     if key not in header:
@@ -129,38 +115,76 @@ def _int(text: str, line: str) -> int:
         raise InvalidInputError(f"bad integer {text!r} in {line!r}") from exc
 
 
-def parse_coloring_document(text: str) -> ColoringDocument:
-    lines = text.splitlines()
-    header, body_start = _split_header(lines)
-    if header.get("format") != COLORING_FORMAT:
-        raise InvalidInputError(f"not a {COLORING_FORMAT} document")
-    kind = header.get("kind", "")
+def _read(
+    text: str, fmt: str
+) -> tuple[dict[str, str], list[str], list[str], Iterator[tuple[Vertex, str, str, str]]]:
+    """The header, the shift= lines, the legend and the edge records of a document.
+
+    Header and shift= lines come first, then the records.  Checks the
+    format line and edges= against the record count at once; the records
+    are checked as they are yielded, as (base, second field, color,
+    line): three fields, a base of dimension n, a color from the legend.
+    """
+    header: dict[str, str] = {}
+    shifts: list[str] = []
+    lines: list[str] = []
+    for line in text.splitlines():
+        if ";" in line and not line.startswith("shift="):
+            lines.append(line)
+        elif not line.strip():
+            continue
+        elif lines:
+            raise InvalidInputError(f"line {line!r} follows the edge records")
+        elif line.startswith("shift="):
+            shifts.append(line[len("shift="):])
+        elif "=" in line:
+            key, value = line.split("=", 1)
+            header[key.strip()] = value.strip()
+        else:
+            raise InvalidInputError(f"bad header line {line!r}")
+    if header.get("format") != fmt:
+        raise InvalidInputError(f"not a {fmt} document")
     n = _field(header, "n")
     count = _field(header, "edges")
-    if kind == "torus" and len(_field(header, "moduli", parse_vec)) != n:
-        raise InvalidInputError(f"moduli= does not fit dimension {n}")
+    if len(lines) != count:
+        raise InvalidInputError(f"expected {count} edge records, found {len(lines)}")
     legend = [c for c in header.get("palette", "").split(",") if c]
     legal = set(legend)
-    if not legal <= set(palette(n)):
+
+    def records() -> Iterator[tuple[Vertex, str, str, str]]:
+        for line in lines:
+            parts = [p.strip() for p in line.split(";")]
+            if len(parts) != 3:
+                raise InvalidInputError(f"bad edge record {line!r}")
+            base = parse_vec(parts[0])
+            if len(base) != n:
+                raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+            if parts[2] not in legal:
+                raise InvalidInputError(f"color {parts[2]!r} not in the legend")
+            yield base, parts[1], parts[2], line
+
+    return header, shifts, legend, records()
+
+
+def parse_coloring_document(text: str) -> ColoringDocument:
+    header, shifts, legend, records = _read(text, COLORING_FORMAT)
+    if shifts:
+        raise InvalidInputError("a coloring document has no shift= lines")
+    n = _field(header, "n")
+    kind = header.get("kind", "")
+    if kind == "torus" and len(_field(header, "moduli", parse_vec)) != n:
+        raise InvalidInputError(f"moduli= does not fit dimension {n}")
+    if not set(legend) <= set(palette(n)):
         raise InvalidInputError(f"palette= names a color outside palette({n})")
     coloring = EdgeColoring()
-    body = [ln for ln in lines[body_start:] if ln.strip()]
-    if len(body) != count:
-        raise InvalidInputError(f"expected {count} edge records, found {len(body)}")
-    for line in body:
-        parts = [p.strip() for p in line.split(";")]
-        if len(parts) != 3:
-            raise InvalidInputError(f"bad edge record {line!r}")
-        base = parse_vec(parts[0])
-        axis = _int(parts[1], line)
-        if len(base) != n or not 1 <= axis <= n:
+    for base, axis_text, color, line in records:
+        axis = _int(axis_text, line)
+        if not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
-        if parts[2] not in legal:
-            raise InvalidInputError(f"color {parts[2]!r} not in the legend")
         edge = GridEdge(base, axis)
         if edge in coloring:
             raise InvalidInputError(f"edge {edge} appears twice")
-        coloring.write(edge, parts[2])
+        coloring.write(edge, color)
     meta = {k: v for k, v in header.items() if k in _META_ORDER}
     return ColoringDocument(kind, n, meta, legend, coloring)
 
@@ -235,28 +259,7 @@ def serialize_layered(doc: LayeredDocument) -> str:
 
 
 def parse_layered_document(text: str) -> LayeredDocument:
-    lines = text.splitlines()
-    header_lines = []
-    shift_lines = []
-    record_lines = []
-    for ln in lines:
-        if not ln.strip():
-            continue
-        if ln.startswith("shift="):
-            shift_lines.append(ln[len("shift="):])
-        elif ";" in ln:
-            record_lines.append(ln)
-        else:
-            header_lines.append(ln)
-    header = {}
-    for ln in header_lines:
-        if "=" not in ln:
-            raise InvalidInputError(f"bad header line {ln!r}")
-        key, value = ln.split("=", 1)
-        header[key] = value
-    if header.get("format") != LAYERED_FORMAT:
-        raise InvalidInputError(f"not a {LAYERED_FORMAT} document")
-    n = _field(header, "n")
+    header, shift_lines, legend, records = _read(text, LAYERED_FORMAT)
     levels = _field(header, "levels")
     k_sets = []
     for level in range(levels):
@@ -269,27 +272,21 @@ def parse_layered_document(text: str) -> LayeredDocument:
             raise InvalidInputError(f"bad shift line {ln!r}")
         level, rep, idx, a = parts
         shifts.append((_int(level, ln), parse_vec(rep), _int(idx, ln), _int(a, ln)))
-    legend = [c for c in header.get("palette", "").split(",") if c]
-    legal = set(legend)
-    count = _field(header, "edges")
-    if len(record_lines) != count:
-        raise InvalidInputError(f"expected {count} edge records, found {len(record_lines)}")
+    generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
+    steps = set(generators)
     coloring: dict[tuple[Vertex, Vector], str] = {}
-    for ln in record_lines:
-        parts = [p.strip() for p in ln.split(";")]
-        if len(parts) != 3:
-            raise InvalidInputError(f"bad edge record {ln!r}")
-        base, step, color = parse_vec(parts[0]), parse_vec(parts[1]), parts[2]
-        if color not in legal:
-            raise InvalidInputError(f"color {color!r} not in the legend")
+    for base, step_text, color, line in records:
+        step = parse_vec(step_text)
+        if step not in steps:
+            raise InvalidInputError(f"record {line!r} steps by no listed generator")
         key = (base, step)
         if key in coloring:
             raise InvalidInputError(f"edge {key} appears twice")
         coloring[key] = color
     return LayeredDocument(
-        n=n,
+        n=_field(header, "n"),
         moduli=_field(header, "moduli", parse_vec),
-        generators=[parse_vec(g) for g in _field(header, "generators", str).split("|") if g],
+        generators=generators,
         levels=levels,
         d=_field(header, "d"),
         alpha=_field(header, "alpha"),

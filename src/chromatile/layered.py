@@ -45,12 +45,12 @@ from .lattice import (
     integer_kernel,
     vscale,
 )
-from .rectcolor import EdgeColoring, P, color_bc2, color_shifted_core, palette
+from .rectcolor import EdgeColoring, P, palette
 from .tiling import (
     Tiling,
     brick_tiling,
-    first_odd_axis,
     is_all_even,
+    region_coloring,
     segment_lengths,
     validate_tiling,
 )
@@ -272,6 +272,7 @@ def run_layered(
         coeffs = dec.a_coeffs[level]
         for rep in model.reps:
             for idx, region in enumerate(tiling.regions):
+                t = None
                 if is_all_even(region):
                     base = [
                         model.to_ambient(rep, chart_torus.reduce(v))
@@ -310,10 +311,7 @@ def run_layered(
                         raise VerificationError("chart/ambient shift disagreement")
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
-                    local = color_shifted_core(region, t)
-                else:
-                    local = color_bc2(region, first_odd_axis(region))
-                for edge, color in local.items():
+                for edge, color in region_coloring(region, "shifted", d, t).items():
                     zbase = chart_torus.reduce(edge.base)
                     base_amb = model.to_ambient(rep, zbase)
                     key = (base_amb, model.basis[edge.axis - 1])

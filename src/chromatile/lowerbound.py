@@ -308,7 +308,9 @@ def chromatic_index(view: SchreierGraphView, k_max: int) -> Optional[int]:
     """Least k <= k_max admitting a proper edge k-coloring, else None.
 
     Exact backtracking search starting at the maximum degree, with the
-    colors around one vertex pinned to break color symmetry.
+    colors around one vertex pinned to break color symmetry.  A regular
+    graph of odd order starts one higher: each color class of a
+    max-degree coloring would be a perfect matching.
     """
     keys = view.edge_keys()
     edges = [view.edge_endpoints(key) for key in sorted(keys)]
@@ -319,9 +321,12 @@ def chromatic_index(view: SchreierGraphView, k_max: int) -> Optional[int]:
     if not edges:
         return 0
     max_degree = max(len(v) for v in incident.values())
+    start = max_degree
+    if len(incident) % 2 and all(len(v) == max_degree for v in incident.values()):
+        start += 1
     v0 = min(incident)
     pinned = incident[v0]
-    for k in range(max_degree, k_max + 1):
+    for k in range(start, k_max + 1):
         if _edge_colorable(edges, incident, k, pinned):
             return k
     return None

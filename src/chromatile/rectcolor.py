@@ -42,7 +42,6 @@ from .grid import (
     _vertices,
     adjacent_edges,
     edges_in,
-    unit_vector,
 )
 from .lattice import Vector
 
@@ -101,9 +100,6 @@ class EdgeColoring:
     def colors_used(self) -> set:
         return set(self._colors.values())
 
-    def copy(self) -> "EdgeColoring":
-        return EdgeColoring(self._colors)
-
     def update(self, other: "EdgeColoring") -> None:
         for edge, color in other.items():
             self.write(edge, color)
@@ -156,86 +152,57 @@ def _alternate_path(
         base[axis - 1] += 1
 
 
+def _peel(
+    origin: Vertex, sizes: tuple[int, ...], rest: tuple[int, ...], peel: int, second: str
+) -> EdgeColoring:
+    """The inductive step: color a layer, copy it along ``peel``, close the paths.
+
+    The layer (extent 0 along ``peel``) is colored over the ``rest`` axes
+    by ``_bc1`` and copied to every height.  Adjacent edges along
+    ``peel`` take its direction color, and each path along ``peel``
+    alternates the layer vertex's first free color with ``second``:
+    the fresh plain color for 2n+1 colors, or c_peel when the side is
+    odd (an odd path starts and ends with the free color).
+    """
+    i = peel - 1
+    coloring = EdgeColoring()
+    layer_sizes = tuple(0 if j == i else a for j, a in enumerate(sizes))
+    layer = _bc1(origin, layer_sizes, rest)
+    for h in range(sizes[i] + 1):
+        for edge, color in layer.items():
+            base = edge.base
+            coloring.write(GridEdge(base[:i] + (base[i] + h,) + base[i + 1:], edge.axis), color)
+
+    for e in _adjacent_edges(origin, sizes, (peel,)):
+        coloring.write(e, C(peel))
+
+    candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, len(rest) + 2)]
+    for pos in _vertices(origin, layer_sizes):
+        taken = _vertex_colors(layer, pos, rest)
+        if len(taken) != 2 * len(rest):
+            raise VerificationError("layer vertex is missing incident colors")
+        free = _pick_free(candidates, taken)
+        _alternate_path(coloring, pos, peel, sizes[i], free, second)
+    return coloring
+
+
 def _bc1(origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]) -> EdgeColoring:
     """Boundary-condition coloring over the active axes with 2*dim+1 colors.
 
     dim = len(axes).  Colors used: c_ax for active axes plus plain
-    colors 1..dim+1.
+    colors 1..dim+1.  Peels the last axis; no axes give no edges.
     """
-    dim = len(axes)
-    coloring = EdgeColoring()
-    if dim == 1:
-        ax = axes[0]
-        a = sizes[ax - 1]
-        for e in _adjacent_edges(origin, sizes, (ax,)):
-            coloring.write(e, C(ax))
-        _alternate_path(coloring, origin, ax, a, P(1), P(2))
-        return coloring
-
-    peel = axes[-1]
-    rest = axes[:-1]
-    a_peel = sizes[peel - 1]
-    layer_sizes = tuple(0 if i == peel - 1 else a for i, a in enumerate(sizes))
-    layer = _bc1(origin, layer_sizes, rest)
-
-    # all layers carry the identical coloring, shifted along the peeled axis
-    step = unit_vector(len(sizes), peel)
-    for h in range(a_peel + 1):
-        offset = tuple(h * x for x in step)
-        coloring.update(layer if h == 0 else layer.translate(offset))
-
-    # edges sticking out along the peeled axis take its direction color
-    for e in _adjacent_edges(origin, sizes, (peel,)):
-        coloring.write(e, C(peel))
-
-    # interior paths parallel to the peeled axis: alternate a free color
-    # with the fresh plain color dim+1, starting with the free color
-    candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, dim + 1)]
-    for pos in _vertices(origin, layer_sizes):
-        taken = _vertex_colors(layer, pos, rest)
-        if len(taken) != 2 * dim - 2:
-            raise VerificationError("layer vertex is missing incident colors")
-        free = _pick_free(candidates, taken)
-        _alternate_path(coloring, pos, peel, a_peel, free, P(dim + 1))
-    return coloring
+    if not axes:
+        return EdgeColoring()
+    return _peel(origin, sizes, axes[:-1], axes[-1], P(len(axes) + 1))
 
 
 def _bc2(origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> EdgeColoring:
     """Boundary-condition coloring with 2n colors; needs an odd side."""
-    n = len(sizes)
     if sizes[odd_axis - 1] % 2 == 0:
         raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
-    coloring = EdgeColoring()
-    if n == 1:
-        ax = odd_axis
-        for e in _adjacent_edges(origin, sizes, (ax,)):
-            coloring.write(e, C(ax))
-        _alternate_path(coloring, origin, ax, sizes[ax - 1], P(1), C(ax))
-        return coloring
-
-    rest = tuple(ax for ax in range(1, n + 1) if ax != odd_axis)
-    a_peel = sizes[odd_axis - 1]
-    layer_sizes = tuple(0 if i == odd_axis - 1 else a for i, a in enumerate(sizes))
-    layer = _bc1(origin, layer_sizes, rest)
-
-    step = unit_vector(n, odd_axis)
-    for h in range(a_peel + 1):
-        offset = tuple(h * x for x in step)
-        coloring.update(layer if h == 0 else layer.translate(offset))
-
-    for e in _adjacent_edges(origin, sizes, (odd_axis,)):
-        coloring.write(e, C(odd_axis))
-
-    # paths have odd length, so they can start and end with the free
-    # color, alternating with the peeled axis direction color
-    candidates = [C(ax) for ax in rest] + [P(j) for j in range(1, n + 1)]
-    for pos in _vertices(origin, layer_sizes):
-        taken = _vertex_colors(layer, pos, rest)
-        if len(taken) != 2 * n - 2:
-            raise VerificationError("layer vertex is missing incident colors")
-        free = _pick_free(candidates, taken)
-        _alternate_path(coloring, pos, odd_axis, a_peel, free, C(odd_axis))
-    return coloring
+    rest = tuple(ax for ax in range(1, len(sizes) + 1) if ax != odd_axis)
+    return _peel(origin, sizes, rest, odd_axis, C(odd_axis))
 
 
 def _shifted_core(sizes: tuple[int, ...], t: Vector) -> EdgeColoring:

@@ -82,6 +82,8 @@ class TestColoringDocuments:
             ("rect", "edges=4\n", "edges=four\n"),
             ("torus", "moduli=13\n", ""),
             ("torus", "moduli=13\n", "moduli=13,13\n"),
+            ("rect", "palette=", "shift=0 ; 0 ; 5 ; 0\npalette="),  # layered-only line
+            ("rect", "2 ; 1 ; c1\n", "2 ; 1 ; c1\nmode=core\n"),  # header after records
         ],
     )
     def test_malformed_coloring_document(self, kind, old, new):
@@ -105,6 +107,9 @@ class TestColoringDocuments:
             ("generators=1|2\n", ""),
             ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; 5"),
             ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; x ; 0"),
+            ("\n0 ; 1 ; p1@0\n", "\n0,0 ; 1 ; p1@0\n"),  # base of the wrong dimension
+            ("\n0 ; 1 ; p1@0\n", "\n0 ; 3 ; p1@0\n"),  # step not in generators=
+            ("\n0 ; 1 ; p1@0\n", "\n0 ; 1 ; p1@0\nd=6\n"),  # header after records
         ],
     )
     def test_malformed_layered_document(self, old, new):

@@ -9,6 +9,7 @@ from chromatile.grid import SchreierGraphView, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.lowerbound import (
     TorusLabeling,
+    _edge_colorable,
     chromatic_index,
     has_perfect_matching,
     induced_matching,
@@ -185,9 +186,28 @@ class TestChromaticIndex:
 
     def test_five_torus_needs_extra_color(self):
         # 25 vertices, 4-regular: a 4-coloring would split into perfect
-        # matchings, impossible on odd order; the search proves it
+        # matchings, impossible on odd order; the parity rule skips k=4
+        # and the search finds a 5-coloring
         view = SchreierGraphView(Torus((5, 5)), S2)
         assert chromatic_index(view, 6) == 5
+
+    @pytest.mark.parametrize(
+        "moduli,s", [((3,), S1), ((5,), S1), ((3, 3), S2), ((3, 5), S2)]
+    )
+    def test_parity_rule_agrees_with_search(self, moduli, s):
+        # odd order and regular: the search alone refutes k = degree,
+        # and chromatic_index, which skips that search, lands one higher
+        view = SchreierGraphView(Torus(moduli), s)
+        edges = [view.edge_endpoints(key) for key in sorted(view.edge_keys())]
+        incident = {}
+        for i, (a, b) in enumerate(edges):
+            incident.setdefault(a, []).append(i)
+            incident.setdefault(b, []).append(i)
+        degree = len(s)
+        assert len(incident) % 2 == 1
+        assert all(len(v) == degree for v in incident.values())
+        assert not _edge_colorable(edges, incident, degree, incident[min(incident)])
+        assert chromatic_index(view, degree + 2) == degree + 1
 
     def test_even_circulant(self):
         circ = SchreierGraphView(Torus((6,)), GeneratorSet.from_vectors([(1,), (2,)]))
