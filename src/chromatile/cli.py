@@ -97,6 +97,8 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
     origin = _vec(args.origin) if args.origin else (0,) * len(sizes)
     box = Box(origin, sizes)
     t = _vec(args.t) if args.t else None
+    if t is not None and args.mode != "shifted":
+        raise InvalidInputError("--t applies only to --mode shifted")
     if args.mode == "bc1":
         coloring = color_bc1(box)
     elif args.mode == "bc2":
@@ -117,8 +119,7 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"unknown mode {args.mode!r}")
 
     if args.mode in ("core", "shifted"):
-        shift = t if t is not None else (0,) * box.n
-        ok = verify_shifted_core(coloring, box, shift)
+        ok = verify_shifted_core(coloring, box, t or (0,) * box.n)
     else:
         ok = verify_boundary_condition(coloring, box)
     if not ok:
@@ -188,14 +189,16 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     elif args.search == "labelings":
         hits = search_respecting_labelings(torus, s, limit=args.limit)
         print(f"patterns={len(matching_patterns(s))} respecting_labelings="
-              f"{'>=' if args.limit and len(hits) == args.limit else ''}{len(hits)}")
+              f"{'>=' if len(hits) == args.limit else ''}{len(hits)}")
         for lab in hits[:3]:
             print("witness: " + " ".join(
                 f"{','.join(map(str, v))}->{','.join(map(str, g))}"
                 for v, g in lab.phi
             ))
     elif args.search == "chi":
-        k_max = args.k_max if args.k_max else len(s) + 1
+        if args.k_max is not None and args.k_max < 1:
+            raise InvalidInputError(f"--k-max must be >= 1, got {args.k_max}")
+        k_max = args.k_max if args.k_max is not None else len(s) + 1
         chi = chromatic_index(view, k_max)
         print(f"chromatic_index={chi if chi is not None else f'>{k_max}'}")
     else:

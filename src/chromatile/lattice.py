@@ -35,10 +35,6 @@ def vneg(v: Vector) -> Vector:
     return tuple(-x for x in v)
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vscale(k: int, v: Vector) -> Vector:
     return tuple(k * x for x in v)
 

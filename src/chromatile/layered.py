@@ -312,7 +312,7 @@ def run_layered(
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
                 for edge, color in region_coloring(region, "shifted", d, t).items():
-                    zbase = chart_torus.reduce(edge.base)
+                    zbase = chart_torus.add(edge.base, region.origin)
                     base_amb = model.to_ambient(rep, zbase)
                     key = (base_amb, model.basis[edge.axis - 1])
                     coloring.write(key, names[color])

@@ -8,9 +8,9 @@ with a wrong return step.  Odd tori have no perfect matching at all, so
 exhaustive pattern searches on them come up empty and their chromatic
 index exceeds the degree.
 
-Matching search is dual-routed: an exhaustive branch for up to 12
-vertices, and blossom-based maximum matching from networkx beyond that;
-the two are cross-validated on small graphs in the test suite.
+Maximum matchings come from networkx's blossom algorithm; an
+exhaustive search for graphs of up to 16 vertices serves as its
+reference in the test suite.
 """
 
 from __future__ import annotations
@@ -151,7 +151,11 @@ def search_respecting_labelings(
 
     Assigning phi(v) = g forces phi(v + g) = -g, which prunes hard; the
     search is exact, so an empty result is a proof of nonexistence.
+    A ``limit`` below 1 is rejected, since it would stop before the
+    first labeling and look like such a proof.
     """
+    if limit is not None and limit < 1:
+        raise InvalidInputError(f"limit must be >= 1, got {limit}")
     _check_moduli(torus, s, matching_patterns(s))
     vertices = sorted(torus.vertices())
     generators = sorted(s.members)
@@ -191,10 +195,6 @@ def search_respecting_labelings(
 # perfect matchings
 # ---------------------------------------------------------------------------
 
-def _adjacency(view: SchreierGraphView) -> dict[Vertex, list[Vertex]]:
-    return {v: view.neighbors(v) for v in view.vertices()}
-
-
 def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
     """Branch-and-memoize maximum matching; exact, for tiny graphs only."""
     vertices = view.vertices()
@@ -221,11 +221,8 @@ def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
 
 
 def maximum_matching_size(view: SchreierGraphView) -> int:
-    """Exact maximum matching size: exhaustive up to 12 vertices, then
-    blossom-based search (networkx)."""
+    """Exact maximum matching size by blossom-based search (networkx)."""
     vertices = view.vertices()
-    if len(vertices) <= 12:
-        return maximum_matching_size_exhaustive(view)
     graph = nx.Graph()
     graph.add_nodes_from(vertices)
     for v in vertices:

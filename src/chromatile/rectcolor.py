@@ -11,13 +11,13 @@ verifiers that certify them:
 * ``color_core``: on a cube of side d = 4k+2, a (2n+1)-coloring with
   the boundary condition where color n+1 appears only on edges of the
   central 2 x ... x 2 core.
-* ``color_shifted_core``: same, with the core translated by an even
+* ``color_shifted_core``: same, with the core moved by an even
   shift vector t, |t_i| <= 2k-2.
 
-All constructions are deterministic.  A coloring is computed once per
-size (relative to the origin) and cached, then translated into place;
-identical sizes therefore share bit-identical colorings, which is what
-makes tiling-based colorings local.
+All constructions are deterministic and translation-equivariant: every
+coordinate is the box origin plus an offset that depends only on the
+sizes (and shift), so boxes of one size get the same coloring up to
+translation, which is what makes tiling-based colorings local.
 
 Everything is written through a conflict-detecting map, so any internal
 disagreement between construction stages raises instead of producing a
@@ -26,7 +26,6 @@ silently improper coloring.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -103,14 +102,6 @@ class EdgeColoring:
     def update(self, other: "EdgeColoring") -> None:
         for edge, color in other.items():
             self.write(edge, color)
-
-    def translate(self, offset: Vector) -> "EdgeColoring":
-        """Shift a coloring with GridEdge keys by a lattice vector."""
-        out = {}
-        for edge, color in self._colors.items():
-            base = tuple(b + t for b, t in zip(edge.base, offset))
-            out[GridEdge(base, edge.axis)] = color
-        return EdgeColoring(out)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +196,16 @@ def _bc2(origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> EdgeColoring:
     return _peel(origin, sizes, rest, odd_axis, C(odd_axis))
 
 
-def _shifted_core(sizes: tuple[int, ...], t: Vector) -> EdgeColoring:
-    """Core construction at origin 0; assumes validated arguments."""
-    n = len(sizes)
-    d = sizes[0]
-    k = (d - 2) // 4
+def _shifted_core(box: Box, t: Vector) -> EdgeColoring:
+    """Core construction on the box; assumes validated arguments."""
+    n = box.n
+    k = (box.sizes[0] - 2) // 4
     if k == 0:
-        return _bc1((0,) * n, sizes, tuple(range(1, n + 1)))
+        return _bc1(box.origin, box.sizes, tuple(range(1, n + 1)))
 
     coloring = EdgeColoring()
-    origin = [0] * n
-    current = list(sizes)
+    origin = list(box.origin)
+    current = list(box.sizes)
     for stage_ax in range(1, n + 1):
         i = stage_ax - 1
         low_extent = 2 * k - 1 + t[i]
@@ -234,23 +224,6 @@ def _shifted_core(sizes: tuple[int, ...], t: Vector) -> EdgeColoring:
     return coloring
 
 
-# cached, origin-zero builders --------------------------------------------
-
-@lru_cache(maxsize=None)
-def _bc1_cached(sizes: tuple[int, ...], axis_order: tuple[int, ...]) -> EdgeColoring:
-    return _bc1((0,) * len(sizes), sizes, axis_order)
-
-
-@lru_cache(maxsize=None)
-def _bc2_cached(sizes: tuple[int, ...], odd_axis: int) -> EdgeColoring:
-    return _bc2((0,) * len(sizes), sizes, odd_axis)
-
-
-@lru_cache(maxsize=None)
-def _core_cached(sizes: tuple[int, ...], t: tuple[int, ...]) -> EdgeColoring:
-    return _shifted_core(sizes, t)
-
-
 # ---------------------------------------------------------------------------
 # public constructions
 # ---------------------------------------------------------------------------
@@ -262,7 +235,7 @@ def color_bc1(box: Box, axis_order: Optional[Sequence[int]] = None) -> EdgeColor
     order = tuple(axis_order) if axis_order is not None else tuple(range(1, box.n + 1))
     if sorted(order) != list(range(1, box.n + 1)):
         raise InvalidInputError(f"axis_order {order} is not a permutation of 1..{box.n}")
-    return _bc1_cached(box.sizes, order).translate(box.origin)
+    return _bc1(box.origin, box.sizes, order)
 
 
 def color_bc2(box: Box, odd_axis: int) -> EdgeColoring:
@@ -276,7 +249,7 @@ def color_bc2(box: Box, odd_axis: int) -> EdgeColoring:
         raise InfeasibleError(
             f"side {box.sizes[odd_axis - 1]} along axis {odd_axis} is not odd"
         )
-    return _bc2_cached(box.sizes, odd_axis).translate(box.origin)
+    return _bc2(box.origin, box.sizes, odd_axis)
 
 
 def _require_cube_4k2(box: Box) -> int:
@@ -332,19 +305,18 @@ def color_core(box: Box) -> EdgeColoring:
     color n+1 can only appear on core edges.  For d = 2 the core is the
     whole cube and ``color_bc1`` already does everything.
     """
-    _require_cube_4k2(box)
-    return _core_cached(box.sizes, (0,) * box.n).translate(box.origin)
+    return color_shifted_core(box, (0,) * box.n)
 
 
 def color_shifted_core(box: Box, t: Vector) -> EdgeColoring:
     """Boundary + t-shifted-core condition coloring of a side-d cube.
 
     Stage i uses slab extents 2k-1+t_i and 2k-1-t_i (both odd since t_i
-    is even), which lands the final 2-cube on the core translated by t.
+    is even), which lands the final 2-cube on the core shifted by t.
     """
     t = tuple(t)
     check_shift(box, t)
-    return _core_cached(box.sizes, t).translate(box.origin)
+    return _shifted_core(box, t)
 
 
 # ---------------------------------------------------------------------------

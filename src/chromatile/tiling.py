@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -38,7 +39,6 @@ from .rectcolor import (
     EdgeColoring,
     color_bc1,
     color_bc2,
-    color_core,
     color_shifted_core,
     palette,
 )
@@ -235,21 +235,32 @@ def first_odd_axis(region: Box) -> int:
     raise InfeasibleError(f"region {region.sizes} has no odd side")
 
 
+@lru_cache(maxsize=None)
+def _origin_coloring(sizes: tuple[int, ...], plain: bool, shift: Vector) -> EdgeColoring:
+    box = Box((0,) * len(sizes), sizes)
+    if plain:
+        return color_bc1(box)
+    if is_all_even(box):
+        return color_shifted_core(box, shift)
+    return color_bc2(box, first_odd_axis(box))
+
+
 def region_coloring(
     region: Box, mode: str, d: int, shift: Optional[Vector] = None
 ) -> EdgeColoring:
-    """The local coloring a region contributes, already translated into place."""
-    if mode == "plain":
-        return color_bc1(region)
-    if mode not in ("core", "shifted"):
+    """The coloring a region contributes, built at the origin.
+
+    It depends only on the region's sizes and core shift (zeros when
+    ``shift`` is None): equal sizes and shifts get the same object,
+    which makes the tiling's coloring local.  Callers place each edge
+    at ``region.origin`` and must not write to the coloring.
+    """
+    if mode not in ("plain", "core", "shifted"):
         raise InvalidInputError(f"unknown tiling mode {mode!r}")
-    if d % 4 != 2:
+    if mode != "plain" and d % 4 != 2:
         raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {d}")
-    if is_all_even(region):
-        if shift is None or not any(shift):
-            return color_core(region)
-        return color_shifted_core(region, shift)
-    return color_bc2(region, first_odd_axis(region))
+    t = tuple(shift) if shift is not None else (0,) * region.n
+    return _origin_coloring(region.sizes, mode == "plain", t)
 
 
 def color_tiling(
@@ -283,7 +294,7 @@ def color_tiling(
         shift = shifts.get(idx) if shifts else None
         local = region_coloring(region, mode, tiling.d, shift)
         for edge, color in local.items():
-            out.write(torus_edge(edge, torus), color)
+            out.write(GridEdge(torus.add(edge.base, region.origin), edge.axis), color)
     expected = torus.n * torus.vertex_count()
     if len(out) != expected:
         raise VerificationError(

@@ -249,6 +249,30 @@ class TestCli:
         assert main(["lowerbound", "--moduli", "4", "--search", "matchings"]) == 0
         assert "found" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode,sizes", [("bc1", "6,6"), ("bc2", "5,6"), ("core", "6,6")])
+    def test_shift_outside_shifted_mode_is_invalid(self, mode, sizes, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        assert main([
+            "color-rect", "--sizes", sizes, "--mode", mode, "--t", "2,0", "--out", str(out),
+        ]) == 1
+        assert "--t" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--search", "labelings", "--limit", "0"],
+            ["--search", "labelings", "--limit", "-1"],
+            ["--search", "chi", "--k-max", "0"],
+            ["--search", "chi", "--k-max", "-1"],
+        ],
+    )
+    def test_lowerbound_budget_below_one_is_invalid(self, argv, capsys):
+        assert main(["lowerbound", "--moduli", "4", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_negative_vector_after_a_space(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
         assert main([

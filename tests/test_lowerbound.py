@@ -134,6 +134,13 @@ class TestRespects:
         for torus, s in cases:
             assert search_respecting_labelings(torus, s, limit=1) == []
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        # the 4-cycle has 2 respecting labelings; a limit of 0 would find none
+        assert len(search_respecting_labelings(Torus((4,)), S1)) == 2
+        with pytest.raises(InvalidInputError):
+            search_respecting_labelings(Torus((4,)), S1, limit=limit)
+
 
 class TestMatchings:
     def test_parity_examples(self):
@@ -150,17 +157,8 @@ class TestMatchings:
             SchreierGraphView(Torus((3, 4)), S2),
             SchreierGraphView(Torus((3, 3)), S2),
         ]
-        import networkx as nx
-
         for view in views:
-            exhaustive = maximum_matching_size_exhaustive(view)
-            graph = nx.Graph()
-            graph.add_nodes_from(view.vertices())
-            for v in view.vertices():
-                for w in view.neighbors(v):
-                    graph.add_edge(v, w)
-            blossom = len(nx.max_weight_matching(graph, maxcardinality=True))
-            assert exhaustive == blossom
+            assert maximum_matching_size(view) == maximum_matching_size_exhaustive(view)
 
     def test_large_uses_blossom(self):
         view = SchreierGraphView(Torus((5, 5)), S2)

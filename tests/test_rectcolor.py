@@ -41,10 +41,31 @@ class TestEdgeColoring:
         with pytest.raises(ColorConflictError):
             c.write(e, P(2))
 
-    def test_translate(self):
-        c = EdgeColoring({GridEdge((0, 0), 1): P(1)})
-        t = c.translate((2, -1))
-        assert t[GridEdge((2, -1), 1)] == P(1)
+
+class TestBuiltInPlace:
+    """A box at any origin gets its zero-origin coloring moved there,
+    edge for edge and in the same order."""
+
+    @pytest.mark.parametrize("origin", [(3, 5, 2), (-4, -1, -7), (6, -3, 0), (-2, 0, 9)])
+    @pytest.mark.parametrize(
+        "build,sizes",
+        [
+            (color_bc1, (3, 6, 5)),
+            (lambda box: color_bc1(box, axis_order=(3, 1, 2)), (3, 6, 5)),
+            (lambda box: color_bc2(box, 1), (3, 6, 5)),
+            (lambda box: color_bc2(box, 3), (3, 6, 5)),
+            (color_core, (10, 10, 10)),
+            (lambda box: color_shifted_core(box, (2, 0, -2)), (10, 10, 10)),
+        ],
+        ids=["bc1", "bc1-order", "bc2-axis1", "bc2-axis3", "core", "shifted"],
+    )
+    def test_equals_zero_origin_build_moved(self, build, sizes, origin):
+        at_zero = build(Box((0, 0, 0), sizes))
+        expected = [
+            (GridEdge(tuple(b + o for b, o in zip(e.base, origin)), e.axis), c)
+            for e, c in at_zero.items()
+        ]
+        assert list(build(Box(origin, sizes)).items()) == expected
 
 
 class TestBc1:

@@ -13,6 +13,7 @@ from chromatile.tiling import (
     color_tiling,
     greedy_marker_set,
     is_all_even,
+    region_coloring,
     segment_lengths,
     torus_edge,
     validate_tiling,
@@ -179,6 +180,17 @@ class TestColorTiling:
         assert any(len(v) > 1 for v in by_size.values())
         for group in by_size.values():
             assert all(g == group[0] for g in group)
+
+    @pytest.mark.parametrize(
+        "mode,sizes,shift",
+        [("plain", (9, 10), None), ("core", (10, 10), None), ("core", (9, 10), None),
+         ("shifted", (10, 10), (2, -2))],
+    )
+    def test_region_coloring_is_shared(self, mode, sizes, shift):
+        # one object per size and shift, whatever the region's origin
+        first = region_coloring(Box((0, 0), sizes), mode, 10, shift)
+        for origin in [(7, 3), (-4, 11), (20, 0)]:
+            assert region_coloring(Box(origin, sizes), mode, 10, shift) is first
 
     def test_seeded_family_properness(self):
         cases = 0
