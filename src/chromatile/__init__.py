@@ -22,9 +22,7 @@ from .grid import (
     SchreierGraphView,
     Torus,
     adjacent_edges,
-    boundary_edges,
     edges_in,
-    path_distance,
 )
 from .lattice import (
     Decomposition,
@@ -52,8 +50,7 @@ from .lowerbound import (
     chromatic_index,
     has_perfect_matching,
     induced_matching,
-    matching_patterns,
-    respects,
+    pattern_count,
     search_respecting_labelings,
 )
 from .rectcolor import (
@@ -66,16 +63,12 @@ from .rectcolor import (
     color_shifted_core,
     palette,
     verify_boundary_condition,
-    verify_core_condition,
-    verify_proper,
     verify_shifted_core,
 )
 from .tiling import (
-    MarkerSet,
     Tiling,
     brick_tiling,
     color_tiling,
-    greedy_marker_set,
     validate_tiling,
     verify_tiling_coloring,
 )

@@ -32,7 +32,7 @@ from .layered import run_pipeline
 from .lowerbound import (
     chromatic_index,
     has_perfect_matching,
-    matching_patterns,
+    pattern_count,
     search_respecting_labelings,
 )
 from .rectcolor import (
@@ -99,6 +99,8 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
     t = _vec(args.t) if args.t else None
     if t is not None and args.mode != "shifted":
         raise InvalidInputError("--t applies only to --mode shifted")
+    if args.odd_axis is not None and args.mode != "bc2":
+        raise InvalidInputError("--odd-axis applies only to --mode bc2")
     if args.mode == "bc1":
         coloring = color_bc1(box)
     elif args.mode == "bc2":
@@ -175,6 +177,10 @@ def cmd_layered(args: argparse.Namespace) -> int:
 
 
 def cmd_lowerbound(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.search != "labelings":
+        raise InvalidInputError("--limit applies only to --search labelings")
+    if args.k_max is not None and args.search != "chi":
+        raise InvalidInputError("--k-max applies only to --search chi")
     moduli = _vec(args.moduli)
     torus = Torus(moduli)
     if args.genset:
@@ -188,7 +194,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
               f"vertices={torus.vertex_count()}")
     elif args.search == "labelings":
         hits = search_respecting_labelings(torus, s, limit=args.limit)
-        print(f"patterns={len(matching_patterns(s))} respecting_labelings="
+        print(f"patterns={pattern_count(s)} respecting_labelings="
               f"{'>=' if len(hits) == args.limit else ''}{len(hits)}")
         for lab in hits[:3]:
             print("witness: " + " ".join(
@@ -215,6 +221,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             ax, val = (int(p) for p in pin.split("="))
         except ValueError as exc:
             raise InvalidInputError(f"bad --slice {pin!r}, expected axis=value") from exc
+        if ax in slices:
+            raise InvalidInputError(f"--slice pins axis {ax} twice")
         slices[ax] = val
     svg = render_svg(doc, slices)
     _write_out(args.out, svg)

@@ -7,20 +7,9 @@ immutable values.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import (
-    Callable,
-    Hashable,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInputError
 from .lattice import GeneratorSet, Vector
@@ -71,10 +60,6 @@ class Box:
     def n(self) -> int:
         return len(self.sizes)
 
-    @property
-    def high(self) -> Vertex:
-        return tuple(b + a for b, a in zip(self.origin, self.sizes))
-
     def vertices(self) -> Iterator[Vertex]:
         ranges = [range(b, b + a + 1) for b, a in zip(self.origin, self.sizes)]
         return product(*ranges)
@@ -87,9 +72,6 @@ class Box:
 
     def contains(self, v: Vertex) -> bool:
         return all(b <= x <= b + a for x, b, a in zip(v, self.origin, self.sizes))
-
-    def translate(self, offset: Vector) -> "Box":
-        return Box(tuple(b + t for b, t in zip(self.origin, offset)), self.sizes)
 
     def core(self) -> "Box":
         """Central 2 x ... x 2 sub-box; requires all sides even and >= 2."""
@@ -176,16 +158,6 @@ def adjacent_edges(box: Box) -> list[GridEdge]:
     return _adjacent_edges(box.origin, box.sizes, range(1, box.n + 1))
 
 
-def boundary_edges(box: Box) -> list[GridEdge]:
-    """Edges of the box that are adjacent to some grid edge outside it."""
-
-    def interior(v: Vertex) -> bool:
-        return all(b + 1 <= x <= b + a - 1 for x, b, a in zip(v, box.origin, box.sizes))
-
-    out = [e for e in edges_in(box) if not all(interior(p) for p in e.endpoints())]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tori and Schreier graph views
 # ---------------------------------------------------------------------------
@@ -222,112 +194,49 @@ class Torus:
 
 @dataclass(frozen=True)
 class SchreierGraphView:
-    """The graph on a torus or box with edges {x, u.x} for generators u.
+    """The graph on a torus with edges {x, u.x} for generators u.
 
-    On a torus the construction asserts that all generators act as
-    distinct nonzero translations, which makes the graph regular of
-    degree |S|.  Tiny moduli that would create self-loops or doubled
-    edges are rejected outright rather than silently merged.
+    The construction asserts that all generators act as distinct nonzero
+    translations, which makes the graph regular of degree |S|.  Tiny
+    moduli that would create self-loops or doubled edges are rejected
+    outright rather than silently merged.
     """
 
-    domain: Union[Torus, Box]
+    domain: Torus
     generators: GeneratorSet
 
     def __post_init__(self) -> None:
-        n = self.generators.dimension
-        if isinstance(self.domain, Torus):
-            if self.domain.n != n:
-                raise InvalidInputError("generator/torus dimension mismatch")
-            seen: dict[Vertex, Vector] = {}
-            for u in self.generators:
-                image = self.domain.reduce(u)
-                if not any(image):
-                    raise InvalidInputError(
-                        f"generator {u} acts trivially modulo {self.domain.moduli}"
-                    )
-                if image in seen:
-                    raise InvalidInputError(
-                        f"generators {seen[image]} and {u} coincide modulo "
-                        f"{self.domain.moduli}; the Schreier graph would not be "
-                        f"{len(self.generators)}-regular"
-                    )
-                seen[image] = u
-        else:
-            if self.domain.n != n:
-                raise InvalidInputError("generator/box dimension mismatch")
+        if self.domain.n != self.generators.dimension:
+            raise InvalidInputError("generator/torus dimension mismatch")
+        seen: dict[Vertex, Vector] = {}
+        for u in self.generators:
+            image = self.domain.reduce(u)
+            if not any(image):
+                raise InvalidInputError(
+                    f"generator {u} acts trivially modulo {self.domain.moduli}"
+                )
+            if image in seen:
+                raise InvalidInputError(
+                    f"generators {seen[image]} and {u} coincide modulo "
+                    f"{self.domain.moduli}; the Schreier graph would not be "
+                    f"{len(self.generators)}-regular"
+                )
+            seen[image] = u
 
     def vertices(self) -> list[Vertex]:
         return sorted(self.domain.vertices())
 
     def neighbors(self, x: Vertex) -> list[Vertex]:
-        if isinstance(self.domain, Torus):
-            return sorted(self.domain.add(x, u) for u in self.generators)
-        out = []
-        for u in self.generators:
-            y = tuple(a + b for a, b in zip(x, u))
-            if self.domain.contains(y):
-                out.append(y)
-        return sorted(out)
+        return sorted(self.domain.add(x, u) for u in self.generators)
 
     def edge_keys(self) -> list[tuple[Vertex, Vector]]:
         """Canonical edges (base, step) with step the lex positive generator."""
-        keys = []
         reps = self.generators.pairs()
-        if isinstance(self.domain, Torus):
-            for x in self.domain.vertices():
-                for u in reps:
-                    keys.append((x, u))
-        else:
-            for x in self.domain.vertices():
-                for u in reps:
-                    y = tuple(a + b for a, b in zip(x, u))
-                    if self.domain.contains(y):
-                        keys.append((x, u))
-        keys.sort()
-        return keys
+        return sorted((x, u) for x in self.domain.vertices() for u in reps)
 
     def edge_endpoints(self, key: tuple[Vertex, Vector]) -> tuple[Vertex, Vertex]:
         base, step = key
-        if isinstance(self.domain, Torus):
-            return base, self.domain.add(base, step)
-        return base, tuple(a + b for a, b in zip(base, step))
-
-    def is_regular(self) -> bool:
-        degs = {len(self.neighbors(x)) for x in self.domain.vertices()}
-        return degs == {len(self.generators)}
-
-
-def path_distance(view: SchreierGraphView, x: Vertex, y: Vertex) -> Union[int, float]:
-    """BFS shortest-path length between x and y; math.inf across components."""
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = deque([(x, 0)])
-    while frontier:
-        v, dist = frontier.popleft()
-        for w in view.neighbors(v):
-            if w in seen:
-                continue
-            if w == y:
-                return dist + 1
-            seen.add(w)
-            frontier.append((w, dist + 1))
-    return math.inf
-
-
-def ball(view: SchreierGraphView, x: Vertex, radius: int) -> dict[Vertex, int]:
-    """Distances from x to every vertex within the given radius."""
-    dist = {x: 0}
-    frontier = deque([x])
-    while frontier:
-        v = frontier.popleft()
-        if dist[v] == radius:
-            continue
-        for w in view.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                frontier.append(w)
-    return dist
+        return base, self.domain.add(base, step)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,13 @@ with a wrong return step.  Odd tori have no perfect matching at all, so
 exhaustive pattern searches on them come up empty and their chromatic
 index exceeds the degree.
 
-Maximum matchings come from networkx's blossom algorithm; an
-exhaustive search for graphs of up to 16 vertices serves as its
-reference in the test suite.
+Maximum matchings come from networkx's blossom algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import networkx as nx
 
@@ -29,28 +26,6 @@ from .lattice import GeneratorSet, Vector, vneg
 # ---------------------------------------------------------------------------
 # patterns and torus labelings
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SftPattern:
-    """A finite forbidden pattern: labels on a finite support in Z^n."""
-
-    entries: tuple[tuple[Vector, Vector], ...]  # (point, label), sorted
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise InvalidInputError("pattern support must be nonempty")
-
-    @classmethod
-    def from_labels(cls, labels: dict[Vector, Vector]) -> "SftPattern":
-        return cls(tuple(sorted(labels.items())))
-
-    @property
-    def support(self) -> tuple[Vector, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def labels(self) -> dict[Vector, Vector]:
-        return dict(self.entries)
-
 
 @dataclass(frozen=True)
 class TorusLabeling:
@@ -70,28 +45,16 @@ class TorusLabeling:
         return dict(self.phi)
 
 
-def matching_patterns(s: GeneratorSet) -> list[SftPattern]:
-    """The 2m(2m-1) patterns whose absence makes a labeling a matching.
-
-    With S enumerated as u_1..u_{2m} (lex order), pattern (i, j), i != j,
-    puts u_i at the origin and -u_j at u_i: following your own arrow must
-    come straight back.
-    """
-    members = sorted(s.members)
-    out = []
-    for i, ui in enumerate(members):
-        for j, uj in enumerate(members):
-            if i == j:
-                continue
-            out.append(SftPattern.from_labels({(0,) * s.dimension: ui, ui: vneg(uj)}))
-    return out
+def pattern_count(s: GeneratorSet) -> int:
+    """How many two-point patterns a matching labeling avoids: one per
+    ordered pair (u_i, u_j), i != j, putting u_i at the origin and -u_j
+    at u_i."""
+    return len(s) * (len(s) - 1)
 
 
-def _check_moduli(torus: Torus, s: GeneratorSet, patterns: Iterable[SftPattern]) -> None:
-    max_coord = 0
-    for p in patterns:
-        for point in p.support:
-            max_coord = max(max_coord, max(abs(x) for x in point) if point else 0)
+def _check_moduli(torus: Torus, s: GeneratorSet) -> None:
+    # every pattern's support is {0, u} for a generator u
+    max_coord = max((abs(x) for u in s for x in u), default=0)
     if any(q <= max_coord for q in torus.moduli):
         raise InfeasibleError(
             f"moduli {torus.moduli} too small: pattern supports reach {max_coord}"
@@ -101,30 +64,11 @@ def _check_moduli(torus: Torus, s: GeneratorSet, patterns: Iterable[SftPattern])
     SchreierGraphView(torus, s)
 
 
-def respects(
-    labeling: TorusLabeling, patterns: Sequence[SftPattern], s: GeneratorSet
-) -> bool:
-    """True when no pattern occurs in the periodic pullback of the labeling.
-
-    A pattern occurs at a torus point v when every support point f
-    satisfies phi((v + f) mod q) = label(f).
-    """
-    torus = labeling.torus
-    _check_moduli(torus, s, patterns)
-    phi = labeling.mapping()
-    for pattern in patterns:
-        entries = pattern.entries
-        for v in torus.vertices():
-            if all(phi[torus.add(v, f)] == lab for f, lab in entries):
-                return False
-    return True
-
-
 def respects_matching(labeling: TorusLabeling, s: GeneratorSet) -> bool:
-    """Fast equivalent of :func:`respects` for the matching patterns:
-    for every x, phi(x + phi(x)) = -phi(x)."""
+    """True when the labeling avoids every matching pattern: for every
+    x, phi(x + phi(x)) = -phi(x)."""
     torus = labeling.torus
-    _check_moduli(torus, s, matching_patterns(s))
+    _check_moduli(torus, s)
     phi = labeling.mapping()
     return all(phi[torus.add(x, g)] == vneg(g) for x, g in phi.items())
 
@@ -156,7 +100,7 @@ def search_respecting_labelings(
     """
     if limit is not None and limit < 1:
         raise InvalidInputError(f"limit must be >= 1, got {limit}")
-    _check_moduli(torus, s, matching_patterns(s))
+    _check_moduli(torus, s)
     vertices = sorted(torus.vertices())
     generators = sorted(s.members)
     found: list[TorusLabeling] = []
@@ -194,31 +138,6 @@ def search_respecting_labelings(
 # ---------------------------------------------------------------------------
 # perfect matchings
 # ---------------------------------------------------------------------------
-
-def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
-    """Branch-and-memoize maximum matching; exact, for tiny graphs only."""
-    vertices = view.vertices()
-    if len(vertices) > 16:
-        raise InvalidInputError("exhaustive matching is limited to 16 vertices")
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [
-        sorted(index[w] for w in view.neighbors(v)) for v in vertices
-    ]
-
-    @lru_cache(maxsize=None)
-    def best(uncovered: frozenset[int]) -> int:
-        if not uncovered:
-            return 0
-        v = min(uncovered)
-        rest = uncovered - {v}
-        out = best(rest)  # leave v unmatched
-        for w in adj[v]:
-            if w in rest:
-                out = max(out, 1 + best(rest - {w}))
-        return out
-
-    return best(frozenset(range(len(vertices))))
-
 
 def maximum_matching_size(view: SchreierGraphView) -> int:
     """Exact maximum matching size by blossom-based search (networkx)."""

@@ -321,24 +321,8 @@ def color_shifted_core(box: Box, t: Vector) -> EdgeColoring:
 
 # ---------------------------------------------------------------------------
 # verifiers -- checks of the definitions, independent of the constructions
-# above; the box verifiers make one pass through the grid kernel
+# above; each makes one pass through the grid kernel
 # ---------------------------------------------------------------------------
-
-def verify_proper(coloring: EdgeColoring) -> bool:
-    """No two colored edges sharing a vertex carry the same color.
-
-    The generic check for an arbitrary set of grid-edge keys; the box
-    verifiers below also check properness, on their own edge set.
-    """
-    at_vertex: dict[Vertex, set] = {}
-    for edge, color in coloring.items():
-        for v in edge.endpoints():
-            bucket = at_vertex.setdefault(v, set())
-            if color in bucket:
-                return False
-            bucket.add(color)
-    return True
-
 
 def _box_edge_count(sizes: Sequence[int]) -> int:
     """Edges in a box plus its adjacent edges.
@@ -420,7 +404,3 @@ def verify_shifted_core(coloring: EdgeColoring, box: Box, t: Vector) -> bool:
         return False
     allowed = set(edges_in(core_box))
     return all(e in allowed for e in scan.watched)
-
-
-def verify_core_condition(coloring: EdgeColoring, box: Box) -> bool:
-    return verify_shifted_core(coloring, box, (0,) * box.n)

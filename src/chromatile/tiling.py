@@ -1,4 +1,4 @@
-"""Marker sets and rectangular tilings of tori, and the global colorer.
+"""Rectangular tilings of tori, and the global colorer.
 
 A tiling partitions the torus vertex set into boxes whose sides span d
 or d+1 vertices.  Since d is congruent to 2 mod 4, sides of d+1
@@ -9,8 +9,9 @@ length (d-1).  The global colorer gives every all-even region a core
 direction color c_i from the boundary condition of both regions they
 touch, which is what makes the union proper.
 
-``greedy_marker_set`` witnesses the d-separated / d-covering marker
-property on finite graphs; it is not on the coloring critical path.
+On the shift action of Z^n such regions come from the orthogonal marker
+regions of Gao, Jackson, Krohne and Seward; on a finite torus
+``brick_tiling`` builds them directly.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from .errors import InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
     GridEdge,
-    SchreierGraphView,
     Torus,
     Vertex,
     _scan_coloring,
     _scan_problems,
     _torus_frame,
-    ball,
     edges_in,
     unit_vector,
 )
@@ -42,48 +41,6 @@ from .rectcolor import (
     color_shifted_core,
     palette,
 )
-
-
-# ---------------------------------------------------------------------------
-# marker sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarkerSet:
-    domain: SchreierGraphView
-    points: tuple[Vertex, ...]
-    d: int
-
-
-def greedy_marker_set(view: SchreierGraphView, d: int) -> MarkerSet:
-    """Greedy maximal d-separated vertex set in deterministic order.
-
-    Maximality gives both marker properties: chosen points are pairwise
-    more than d apart, and every vertex is within d of some point.
-    """
-    if d < 1:
-        raise InvalidInputError("marker distance must be >= 1")
-    chosen: list[Vertex] = []
-    near: dict[Vertex, int] = {}
-    for v in view.vertices():
-        if near.get(v, d + 1) > d:
-            chosen.append(v)
-            for w, dist in ball(view, v, d).items():
-                if dist < near.get(w, d + 1):
-                    near[w] = dist
-    return MarkerSet(view, tuple(chosen), d)
-
-
-def verify_marker_set(markers: MarkerSet) -> bool:
-    """Brute-force check of separation and covering via BFS balls."""
-    pts = set(markers.points)
-    covered: set[Vertex] = set()
-    for p in markers.points:
-        reach = ball(markers.domain, p, markers.d)
-        if any(q in pts and q != p for q in reach):
-            return False
-        covered.update(reach)
-    return covered == set(markers.domain.vertices())
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from chromatile.rectcolor import (
     color_shifted_core,
     palette,
     verify_boundary_condition,
-    verify_proper,
     verify_shifted_core,
 )
 from chromatile.tiling import (
@@ -36,6 +35,7 @@ from chromatile.tiling import (
     segment_lengths,
     verify_tiling_coloring,
 )
+from reference import verify_proper
 
 
 def report(name, ok, detail=""):

@@ -16,14 +16,10 @@ from chromatile.errors import InvalidInputError
 from chromatile.grid import Box, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
-from chromatile.rectcolor import (
-    color_bc1,
-    verify_boundary_condition,
-    verify_proper,
-    verify_shifted_core,
-)
+from chromatile.rectcolor import color_bc1, palette, verify_boundary_condition, verify_shifted_core
 from chromatile.render import render_svg
 from chromatile.tiling import brick_tiling, color_tiling
+from reference import verify_proper
 
 
 class TestColoringDocuments:
@@ -207,13 +203,15 @@ class TestCli:
             (b"edges=1\n0 ; x ; c1\n", []),
             (b"edges=1\n0 ; 1 ; c1\n", ["--slice", "x=1"]),
             (b"edges=1\n0 ; 1 ; \xff\n", []),  # not UTF-8
+            (b"edges=1\n0,0,1 ; 1 ; c1\n", ["--slice", "3=0", "--slice", "3=1"]),
         ],
     )
     def test_render_malformed_input(self, body, extra, tmp_path, capsys):
+        # the first record's base sets the document's dimension
+        n = body.split(b"\n")[1].count(b",") + 1
+        header = f"format=chromatile/coloring/v1\nkind=rect\nn={n}\npalette={','.join(palette(n))}"
         doc = tmp_path / "bad.txt"
-        doc.write_bytes(
-            b"format=chromatile/coloring/v1\nkind=rect\nn=1\npalette=c1,1,2\n" + body
-        )
+        doc.write_bytes(header.encode() + b"\n" + body)
         assert main(["render", "--in", str(doc), *extra]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -272,6 +270,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color-rect", "--sizes", "3,4", "--mode", "bc1", "--odd-axis", "1"],
+            ["lowerbound", "--moduli", "3,3", "--search", "chi", "--limit", "5"],
+            ["lowerbound", "--moduli", "4", "--search", "labelings", "--k-max", "9"],
+        ],
+    )
+    def test_flag_outside_its_mode_is_invalid(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {argv[-2]} applies only to" in captured.err
 
     def test_negative_vector_after_a_space(self, tmp_path, capsys):
         out = tmp_path / "s.txt"

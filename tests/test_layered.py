@@ -3,7 +3,7 @@
 import pytest
 
 from chromatile.errors import InfeasibleError
-from chromatile.grid import Torus
+from chromatile.grid import Torus, adjacent_edges, edges_in
 from chromatile.lattice import GeneratorSet, decompose_with_constants, vscale
 from chromatile.layered import (
     ZERO,
@@ -189,6 +189,44 @@ class TestRunLayered:
                 )
                 ks = run.result.k_sets[level]
                 assert base in ks and torus.add(base, step) in ks
+
+
+class TestLayeredLocality:
+    @pytest.mark.parametrize(
+        "s,moduli,d,across",
+        [
+            (S_ONE_TWO, (13,), 6, "level"),  # two levels of chart dimension 1
+            (S_DIAG, (37, 37), 18, "orbit"),  # 37 level-1 orbits, shift factors 0 and 1
+        ],
+        ids=["one-two-13", "diag-37x37"],
+    )
+    def test_equal_regions_carry_equal_colorings(self, s, moduli, d, across):
+        # every region read back from the output through its chart map, with
+        # offsets from the region origin and the level suffix dropped; regions
+        # of one chart dimension, size and core shift t = a * a_coeffs[level]
+        # must agree, whatever their orbit and level
+        res = run_pipeline(s, moduli, d_override=d).result
+        groups = {}
+        for model, tiling in zip(res.models, res.tilings):
+            chart = model.chart_torus()
+            coeffs = res.dec.a_coeffs[model.level]
+            for rep in model.reps:
+                for idx, region in enumerate(tiling.regions):
+                    a = res.shifts.get((model.level, rep, idx))
+                    t = None if a is None else tuple(a * c for c in coeffs)
+                    local = {}
+                    for e in edges_in(region) + adjacent_edges(region):
+                        key = (model.to_ambient(rep, chart.reduce(e.base)),
+                               model.basis[e.axis - 1])
+                        rel = tuple(b - o for b, o in zip(e.base, region.origin))
+                        local[(rel, e.axis)] = res.coloring[key].split("@")[0]
+                    place = {"level": model.level, "orbit": rep}[across]
+                    groups.setdefault((model.chart_dim, region.sizes, t), []).append(
+                        (place, local)
+                    )
+        for group in groups.values():
+            assert all(local == group[0][1] for _, local in group)
+        assert any(len({place for place, _ in g}) > 1 for g in groups.values())
 
 
 def reference_layered_problems(result, s, moduli):

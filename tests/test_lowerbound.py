@@ -13,13 +13,12 @@ from chromatile.lowerbound import (
     chromatic_index,
     has_perfect_matching,
     induced_matching,
-    matching_patterns,
     maximum_matching_size,
-    maximum_matching_size_exhaustive,
-    respects,
+    pattern_count,
     respects_matching,
     search_respecting_labelings,
 )
+from reference import matching_patterns, maximum_matching_size_exhaustive, respects
 
 S1 = GeneratorSet.standard(1)
 S2 = GeneratorSet.standard(2)
@@ -27,9 +26,10 @@ S2 = GeneratorSet.standard(2)
 
 class TestPatterns:
     def test_counts(self):
-        assert len(matching_patterns(S1)) == 2
-        assert len(matching_patterns(S2)) == 12
-        assert len(matching_patterns(GeneratorSet.from_vectors([(1,), (2,)]))) == 12
+        assert pattern_count(S1) == len(matching_patterns(S1)) == 2
+        assert pattern_count(S2) == len(matching_patterns(S2)) == 12
+        s = GeneratorSet.from_vectors([(1,), (2,)])
+        assert pattern_count(s) == len(matching_patterns(s)) == 12
 
     def test_one_dimensional_unfold(self):
         pats = matching_patterns(S1)
@@ -75,6 +75,8 @@ class TestRespects:
         lab = TorusLabeling.from_map(Torus((1,)), {(0,): (1,)})
         with pytest.raises((InfeasibleError, InvalidInputError)):
             respects(lab, matching_patterns(S1), S1)
+        with pytest.raises((InfeasibleError, InvalidInputError)):
+            respects_matching(lab, S1)
         # +1 = -1 on a 2-ring: occurrence semantics degenerate
         lab2 = TorusLabeling.from_map(Torus((2,)), {(0,): (1,), (1,): (1,)})
         with pytest.raises((InfeasibleError, InvalidInputError)):

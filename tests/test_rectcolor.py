@@ -21,10 +21,9 @@ from chromatile.rectcolor import (
     color_shifted_core,
     palette,
     verify_boundary_condition,
-    verify_core_condition,
-    verify_proper,
     verify_shifted_core,
 )
+from reference import verify_proper
 
 
 def boxes(n, max_side):
@@ -185,7 +184,7 @@ class TestCore:
         box = Box((0,) * n, (d,) * n)
         c = color_core(box)
         assert verify_boundary_condition(c, box)
-        assert verify_core_condition(c, box)
+        assert verify_shifted_core(c, box, (0,) * box.n)
         for t in admissible_shifts(d, n):
             ct = color_shifted_core(box, t)
             assert verify_boundary_condition(ct, box)
@@ -209,7 +208,7 @@ class TestCore:
     def test_positioning(self):
         moved = Box((5, -7), (6, 6))
         c = color_core(moved)
-        assert verify_core_condition(c, moved)
+        assert verify_shifted_core(c, moved, (0,) * moved.n)
 
 
 class TestVerifiers:

@@ -1,43 +1,22 @@
-"""Markers, brick tilings and the global torus colorer."""
+"""Brick tilings and the global torus colorer."""
 
 import pytest
 
 from chromatile.errors import InfeasibleError, InvalidInputError
-from chromatile.grid import Box, GridEdge, SchreierGraphView, Torus, edges_in
-from chromatile.lattice import GeneratorSet
+from chromatile.grid import Box, GridEdge, Torus, edges_in
 from chromatile.rectcolor import C, EdgeColoring, P, palette
 from chromatile.tiling import (
     Tiling,
     allowed_core_edges,
     brick_tiling,
     color_tiling,
-    greedy_marker_set,
     is_all_even,
     region_coloring,
     segment_lengths,
     torus_edge,
     validate_tiling,
-    verify_marker_set,
     verify_tiling_coloring,
 )
-
-
-class TestMarkers:
-    def test_ring_example(self):
-        view = SchreierGraphView(Torus((6,)), GeneratorSet.standard(1))
-        markers = greedy_marker_set(view, 2)
-        assert markers.points == ((0,), (3,))
-        assert verify_marker_set(markers)
-
-    def test_distance_one_maximal(self):
-        view = SchreierGraphView(Torus((5, 5)), GeneratorSet.standard(2))
-        markers = greedy_marker_set(view, 1)
-        assert verify_marker_set(markers)
-
-    def test_eight_torus(self):
-        view = SchreierGraphView(Torus((8, 8)), GeneratorSet.standard(2))
-        markers = greedy_marker_set(view, 3)
-        assert verify_marker_set(markers)
 
 
 class TestSegments:
