@@ -18,7 +18,12 @@ from chromatile.cli import main
 from chromatile.grid import Box
 from chromatile.rectcolor import admissible_shifts, color_bc1, color_bc2, color_shifted_core
 
-GENSET = "n=1\n1\n2\n"
+# generating-set files, listing one of v, -v; every call passes --symmetrize
+GENSETS = {
+    "genset": "n=1\n1\n2\n",
+    "diag": "n=2\n1,0\n0,1\n1,1\n",
+    "cube": "n=3\n1,0,0\n0,1,0\n0,0,1\n1,1,1\n",
+}
 
 # (name, argv, output file or None for stdout, sha256)
 GOLDEN = [
@@ -45,16 +50,22 @@ GOLDEN = [
      "5d96f658f87020a61ad095cc647894d28a1f3032e796fd1b0052844e8b4f5e17"),
     ("render", ["render", "--in", "{torus}", "--out", "{out}"], "out",
      "a691941cf072fd477210f7015a3207005f173fdb137e79c77a0141896d1bf93c"),
+    # 37 level-1 orbits, shift factors 0 and 1
+    ("layered-diag-out", ["layered", "--genset", "{diag}", "--symmetrize",
+                          "--moduli", "37,37", "--d-override", "18", "--out", "{out}"], "out",
+     "8dd0032cf9605bd2b05ee7ba1189cb87d37c330a187e059dd58b23ca5d105d19"),
+    ("layered-cube-out", ["layered", "--genset", "{cube}", "--symmetrize",
+                          "--moduli", "19,19,19", "--d-override", "18", "--out", "{out}"], "out",
+     "358ef520ae3024a662f3c74495a2deceb893c341d4956abcdf3c054931521ac1"),
 ]
 
 
 def _digest(name, argv, target, tmp_path, capsys):
-    paths = {
-        "genset": tmp_path / "g.txt",
-        "out": tmp_path / f"{name}.out",
-        "torus": tmp_path / "torus.txt",
-    }
-    paths["genset"].write_text(GENSET, encoding="utf-8")
+    paths = {key: tmp_path / f"{key}.txt" for key in GENSETS}
+    for key, text in GENSETS.items():
+        paths[key].write_text(text, encoding="utf-8")
+    paths["out"] = tmp_path / f"{name}.out"
+    paths["torus"] = tmp_path / "torus.txt"
     if "{torus}" in argv:
         assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core",
                      "--seed", "9", "--out", str(paths["torus"])]) == 0
