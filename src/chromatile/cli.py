@@ -181,6 +181,8 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
         raise InvalidInputError("--limit applies only to --search labelings")
     if args.k_max is not None and args.search != "chi":
         raise InvalidInputError("--k-max applies only to --search chi")
+    if args.symmetrize and not args.genset:
+        raise InvalidInputError("--symmetrize applies only to a --genset file")
     moduli = _vec(args.moduli)
     torus = Torus(moduli)
     if args.genset:
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color-torus", help="tile a torus and color it")
     p.add_argument("--moduli", required=True)
     p.add_argument("--d", type=int, required=True, help="marker distance")
-    p.add_argument("--mode", default="plain", choices=["plain", "core", "shifted"])
+    p.add_argument("--mode", default="plain", choices=["plain", "core"])
     p.add_argument("--seed", type=int, help="seed for brick offsets")
     p.add_argument("--offsets", help="explicit per-slab offsets")
     p.add_argument("--out", help="output file (default stdout)")

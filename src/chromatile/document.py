@@ -206,7 +206,7 @@ class LayeredDocument:
     k_sets: list[list[Vertex]]
     shifts: list[tuple[int, Vertex, int, int]]  # level, rep, region, a
     legend: list[str]
-    coloring: dict[tuple[Vertex, Vector], str]
+    coloring: EdgeColoring  # (base, step) -> color name
 
 
 def document_for_layered(result: LayeredResult) -> LayeredDocument:
@@ -230,7 +230,7 @@ def document_for_layered(result: LayeredResult) -> LayeredDocument:
         k_sets=[sorted(ks) for ks in result.k_sets],
         shifts=shifts,
         legend=legend,
-        coloring=dict(result.coloring.items()),
+        coloring=result.coloring,
     )
 
 
@@ -251,10 +251,20 @@ def serialize_layered(doc: LayeredDocument) -> str:
     for level, rep, idx, a in doc.shifts:
         lines.append(f"shift={level} ; {fmt_vec(rep)} ; {idx} ; {a}")
     lines.append("palette=" + ",".join(doc.legend))
-    records = sorted(doc.coloring.items())
-    lines.append(f"edges={len(records)}")
-    for (base, step), color in records:
-        lines.append(f"{fmt_vec(base)} ; {fmt_vec(step)} ; {color}")
+    lines.append(f"edges={len(doc.coloring)}")
+    # records sort by (base, step): group them by base, so that each base
+    # and each step is formatted once
+    by_base: dict[Vertex, list[tuple[Vector, str]]] = {}
+    for (base, step), color in doc.coloring.items():
+        by_base.setdefault(base, []).append((step, color))
+    step_text: dict[Vector, str] = {}
+    for base in sorted(by_base):
+        prefix = fmt_vec(base) + " ; "
+        for step, color in sorted(by_base[base]):
+            text = step_text.get(step)
+            if text is None:
+                text = step_text[step] = fmt_vec(step)
+            lines.append(f"{prefix}{text} ; {color}")
     return "\n".join(lines) + "\n"
 
 
@@ -274,7 +284,7 @@ def parse_layered_document(text: str) -> LayeredDocument:
         shifts.append((_int(level, ln), parse_vec(rep), _int(idx, ln), _int(a, ln)))
     generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
     steps = set(generators)
-    coloring: dict[tuple[Vertex, Vector], str] = {}
+    coloring = EdgeColoring()
     for base, step_text, color, line in records:
         step = parse_vec(step_text)
         if step not in steps:
@@ -282,7 +292,7 @@ def parse_layered_document(text: str) -> LayeredDocument:
         key = (base, step)
         if key in coloring:
             raise InvalidInputError(f"edge {key} appears twice")
-        coloring[key] = color
+        coloring.write(key, color)
     return LayeredDocument(
         n=_field(header, "n"),
         moduli=_field(header, "moduli", parse_vec),

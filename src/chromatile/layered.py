@@ -23,8 +23,7 @@ colorings apply whenever the magnitude check passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -32,7 +31,10 @@ from .grid import (
     SchreierGraphView,
     Torus,
     Vertex,
+    _frame_index,
+    _outer_sum,
     _scan_coloring,
+    _strides,
     _scan_problems,
     _torus_frame,
 )
@@ -65,6 +67,11 @@ class CosetModel:
     The chart sends z in Z^{n_i} to rep + sum z_j * basis_j; its kernel
     is the diagonal lattice given by ``chart_moduli``, so every orbit is
     a product torus and all orbits of the level share one shape.
+
+    The chart map is affine, so one *orbit table* serves every orbit of
+    the level: ``offsets[t]`` lists sum_j z_j * basis_j[t] mod q_t for
+    every chart point z in row-major order, and ``orbit(rep)`` shifts
+    those lists by ``rep``.  ``to_ambient`` is the scalar reference.
     """
 
     level: int
@@ -72,6 +79,7 @@ class CosetModel:
     basis: tuple[Vector, ...]
     chart_moduli: tuple[int, ...]
     reps: tuple[Vertex, ...]
+    offsets: tuple[list[int], ...] = field(repr=False, compare=False)
 
     @property
     def chart_dim(self) -> int:
@@ -90,9 +98,32 @@ class CosetModel:
                 v[t] += zj * b[t]
         return tuple(x % q for x, q in zip(v, self.moduli))
 
-    def orbit_points(self, rep: Vertex):
-        for z in product(*[range(r) for r in self.chart_moduli]):
-            yield z, self.to_ambient(rep, z)
+    def chart_index(self, z: Vertex) -> int:
+        """Row-major position of a chart point, reduced modulo the chart."""
+        index = 0
+        for x, r in zip(z, self.chart_moduli):
+            index = index * r + x % r
+        return index
+
+    def orbit(self, rep: Vertex) -> list[Vertex]:
+        """The orbit of rep: to_ambient(rep, z) for every chart point z, in
+        row-major chart order."""
+        return list(zip(*[
+            [(x + r) % q for x in column]
+            for column, r, q in zip(self.offsets, rep, self.moduli)
+        ]))
+
+
+def orbit_offsets(
+    moduli: Sequence[int], basis: Sequence[Vector], chart_moduli: Sequence[int]
+) -> tuple[list[int], ...]:
+    """The orbit table of a chart: per ambient coordinate t, sum_j z_j *
+    basis_j[t] mod q_t for every chart point z in row-major order."""
+    return tuple(
+        [x % q for x in _outer_sum([[z * b[t] for z in range(r)]
+                                    for b, r in zip(basis, chart_moduli)])]
+        for t, q in enumerate(moduli)
+    )
 
 
 def effective_d(dec: Decomposition, d_override: Optional[int]) -> int:
@@ -162,22 +193,26 @@ def build_model(
         orbit_size = 1
         for r in chart_moduli:
             orbit_size *= r
-        probe = CosetModel(level, torus.moduli, basis, chart_moduli, ())
+        model = CosetModel(
+            level, torus.moduli, basis, chart_moduli, (),
+            orbit_offsets(torus.moduli, basis, chart_moduli),
+        )
         seen: set[Vertex] = set()
         reps = []
-        for v in sorted(torus.vertices()):
+        for v in torus.vertices():  # lex order, so each rep is its orbit's least point
             if v in seen:
                 continue
             reps.append(v)
-            count = 0
-            for _, w in probe.orbit_points(v):
-                if w in seen:
-                    raise VerificationError("chart is not injective on the orbit")
-                seen.add(w)
-                count += 1
-            if count != orbit_size:
-                raise VerificationError(f"orbit of {v} has {count} points, not {orbit_size}")
-        models.append(CosetModel(level, torus.moduli, basis, chart_moduli, tuple(reps)))
+            points = model.orbit(v)
+            if len(points) != orbit_size:
+                raise VerificationError(
+                    f"orbit of {v} has {len(points)} points, not {orbit_size}"
+                )
+            before = len(seen)
+            seen.update(points)
+            if len(seen) - before != orbit_size:
+                raise VerificationError("chart is not injective on the orbit")
+        models.append(replace(model, reps=tuple(reps)))
     return models
 
 
@@ -238,6 +273,16 @@ def run_layered(
     odd side take the 2n_i-coloring and contribute no core.  All writes
     go through conflict detection, so each level provably extends the
     ones above it.
+
+    A region's placed edges depend on its index and shift factor alone,
+    so they are computed once per level and reused for every orbit of
+    it.  They are kept as the region's local edges, (frame position,
+    step, level color) and shared by every region of one size and shift,
+    and the region's frame, which sends a frame position to a chart
+    row-major index.  Orbit rep writes the edge at chart index i to
+    ``orbit(rep)[i]``, so no edge goes through the chart map one by one.
+    The shift search and the chart/ambient agreement check stay per
+    orbit.
     """
     if dec.alpha is None or dec.a_coeffs is None:
         raise InvalidInputError("decomposition constants not computed")
@@ -254,6 +299,7 @@ def run_layered(
     beta_s = vscale(dec.beta, dec.s)
 
     coloring = EdgeColoring()
+    write = coloring.write
     k_sets: list[set[Vertex]] = [set() for _ in models]
     shifts: dict[tuple[int, Vertex, int], int] = {}
     busy: set[Vertex] = set()
@@ -268,54 +314,76 @@ def run_layered(
             )
         ni = model.chart_dim
         names = {c: level_color_name(c, level, ni) for c in palette(ni)}
-        chart_torus = model.chart_torus()
         coeffs = dec.a_coeffs[level]
+        index = model.chart_index
+        cores = [
+            [index(v) for v in region.core().vertices()] if is_all_even(region) else None
+            for region in tiling.regions
+        ]
+        # (sizes, shift) -> the region's edges as (frame position, step, color)
+        localized: dict[tuple[Vertex, Optional[Vector]], list] = {}
+        # (region index, shift factor or None) -> (shifted core, frame, local edges)
+        placed: dict[tuple[int, Optional[int]], tuple[list[int], list[int], list]] = {}
+        strides = _strides(model.chart_moduli)
+
+        def place(idx: int, a: Optional[int]) -> tuple[list[int], list[int], list]:
+            region = tiling.regions[idx]
+            t = None
+            core: list[int] = []
+            if a is not None:
+                t = tuple(a * c for c in coeffs)
+                if any(ti % 2 for ti in t):
+                    raise VerificationError(f"core shift {t} has an odd coordinate")
+                if any(abs(ti) > shift_bound for ti in t):
+                    raise InfeasibleError(
+                        f"core shift {t} at level {level} exceeds the "
+                        f"admissible range +-{shift_bound} for d = {d}"
+                    )
+                shifted_box = region.shifted_core(t)
+                if not all(region.contains(v) for v in shifted_box.vertices()):
+                    raise VerificationError(f"shifted core {shifted_box} leaves its region")
+                core = [index(v) for v in shifted_box.vertices()]
+            # the frame is the region padded by one vertex below, since its
+            # edges have bases in [-1, a_j] along every axis
+            local = localized.get((region.sizes, t))
+            if local is None:
+                position = _frame_index([-1] * ni, [size + 2 for size in region.sizes])
+                local = localized[(region.sizes, t)] = [
+                    (position[edge.base], model.basis[edge.axis - 1], names[color])
+                    for edge, color in region_coloring(region, "shifted", d, t).items()
+                ]
+            frame = _outer_sum([
+                [(o + x) % r * st for x in range(-1, size + 1)]
+                for o, size, r, st in zip(region.origin, region.sizes, model.chart_moduli, strides)
+            ])
+            placed[(idx, a)] = core, frame, local
+            return core, frame, local
+
         for rep in model.reps:
+            points = model.orbit(rep)
             for idx, region in enumerate(tiling.regions):
-                t = None
-                if is_all_even(region):
-                    base = [
-                        model.to_ambient(rep, chart_torus.reduce(v))
-                        for v in region.core().vertices()
-                    ]
-                    chosen = None
+                a = None
+                if cores[idx] is not None:
+                    base = [points[i] for i in cores[idx]]
                     for a in range(dec.alpha + 1):
                         offset = vscale(a, beta_s)
                         translated = {torus.add(p, offset) for p in base}
                         if translated.isdisjoint(busy):
-                            chosen = (a, translated)
                             break
-                    if chosen is None:
+                    else:
                         raise InfeasibleError(
                             f"no admissible core shift in [0, {dec.alpha}] at level "
                             f"{level}, orbit {rep}, region {region.origin}; "
                             f"d = {d} is too small for this torus"
                         )
-                    a, translated = chosen
-                    t = tuple(a * c for c in coeffs)
-                    if any(ti % 2 for ti in t):
-                        raise VerificationError(f"core shift {t} has an odd coordinate")
-                    if any(abs(ti) > shift_bound for ti in t):
-                        raise InfeasibleError(
-                            f"core shift {t} at level {level} exceeds the "
-                            f"admissible range +-{shift_bound} for d = {d}"
-                        )
-                    shifted_box = region.shifted_core(t)
-                    if not all(region.contains(v) for v in shifted_box.vertices()):
-                        raise VerificationError(f"shifted core {shifted_box} leaves its region")
-                    image = {
-                        model.to_ambient(rep, chart_torus.reduce(v))
-                        for v in shifted_box.vertices()
-                    }
-                    if image != translated:
+                core, frame, local = placed.get((idx, a)) or place(idx, a)
+                if a is not None:
+                    if {points[i] for i in core} != translated:
                         raise VerificationError("chart/ambient shift disagreement")
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
-                for edge, color in region_coloring(region, "shifted", d, t).items():
-                    zbase = chart_torus.add(edge.base, region.origin)
-                    base_amb = model.to_ambient(rep, zbase)
-                    key = (base_amb, model.basis[edge.axis - 1])
-                    coloring.write(key, names[color])
+                for i, step, name in local:
+                    write((points[frame[i]], step), name)
         busy |= k_sets[level]
 
     return LayeredResult(

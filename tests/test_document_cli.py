@@ -277,13 +277,15 @@ class TestCli:
             ["color-rect", "--sizes", "3,4", "--mode", "bc1", "--odd-axis", "1"],
             ["lowerbound", "--moduli", "3,3", "--search", "chi", "--limit", "5"],
             ["lowerbound", "--moduli", "4", "--search", "labelings", "--k-max", "9"],
+            ["lowerbound", "--moduli", "4", "--search", "chi", "--symmetrize"],
         ],
     )
     def test_flag_outside_its_mode_is_invalid(self, argv, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {argv[-2]} applies only to" in captured.err
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert f"error: {flag} applies only to" in captured.err
 
     def test_negative_vector_after_a_space(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
@@ -311,6 +313,8 @@ class TestCli:
             ["color-rect", "--sizes", "2,2", "--mode", "plaid"],
             ["color-torus", "--moduli", "13,13", "--d", "six"],
             ["lowerbound", "--moduli", "3,3", "--search", "chi", "--bogus"],
+            # color-torus has no way to take a core shift
+            ["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "shifted"],
         ],
     )
     def test_usage_errors_are_invalid_input(self, argv, capsys):

@@ -1,5 +1,7 @@
 """Coset models and the multi-level coloring pipeline."""
 
+from itertools import product
+
 import pytest
 
 from chromatile.errors import InfeasibleError
@@ -17,6 +19,7 @@ from chromatile.tiling import brick_tiling, color_tiling
 
 S_ONE_TWO = GeneratorSet.from_vectors([(1,), (2,)])
 S_DIAG = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)])
+S_CUBE = GeneratorSet.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 
 
 class TestBuildModel:
@@ -62,10 +65,25 @@ class TestBuildModel:
         for model in models:
             seen = set()
             for rep in model.reps:
-                for _, w in model.orbit_points(rep):
+                for w in model.orbit(rep):
                     assert w not in seen
                     seen.add(w)
             assert len(seen) == 13 * 13
+
+    @pytest.mark.parametrize(
+        "s,moduli",
+        [(S_ONE_TWO, (13,)), (S_DIAG, (13, 13)), (S_CUBE, (19, 19, 19))],
+        ids=["one-two-13", "diag-13x13", "cube-19x19x19"],
+    )
+    def test_orbit_table_matches_chart_map(self, s, moduli):
+        # the table lists to_ambient(rep, z) for every chart point z, in
+        # row-major order, and chart_index is that order
+        dec = decompose_with_constants(s)
+        for model in build_model(s, dec, moduli, d_override=6):
+            chart = list(product(*[range(r) for r in model.chart_moduli]))
+            assert [model.chart_index(z) for z in chart] == list(range(len(chart)))
+            for rep in model.reps:
+                assert model.orbit(rep) == [model.to_ambient(rep, z) for z in chart]
 
 
 class TestRunLayered:
@@ -97,10 +115,9 @@ class TestRunLayered:
         assert max(run.result.shifts.values()) == 1  # avoidance exercised
 
     def test_three_dimensional_override(self):
-        s = GeneratorSet.from_vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-        run = run_pipeline(s, (37, 37, 37), d_override=18)
+        run = run_pipeline(S_CUBE, (37, 37, 37), d_override=18)
         assert run.report.ok, run.report.problems
-        assert run.report.color_count <= len(s) + 1 == 9
+        assert run.report.color_count <= len(S_CUBE) + 1 == 9
         assert run.report.zero_edges > 0
 
     def test_shift_out_of_range_is_loud(self):
