@@ -34,8 +34,8 @@ from .grid import (
     _frame_index,
     _outer_sum,
     _scan_coloring,
-    _strides,
     _scan_problems,
+    _strides,
     _torus_frame,
 )
 from .lattice import (
@@ -114,7 +114,7 @@ class CosetModel:
         ]))
 
 
-def orbit_offsets(
+def _orbit_offsets(
     moduli: Sequence[int], basis: Sequence[Vector], chart_moduli: Sequence[int]
 ) -> tuple[list[int], ...]:
     """The orbit table of a chart: per ambient coordinate t, sum_j z_j *
@@ -195,7 +195,7 @@ def build_model(
             orbit_size *= r
         model = CosetModel(
             level, torus.moduli, basis, chart_moduli, (),
-            orbit_offsets(torus.moduli, basis, chart_moduli),
+            _orbit_offsets(torus.moduli, basis, chart_moduli),
         )
         seen: set[Vertex] = set()
         reps = []
