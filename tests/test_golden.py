@@ -57,6 +57,14 @@ GOLDEN = [
     ("layered-cube-out", ["layered", "--genset", "{cube}", "--symmetrize",
                           "--moduli", "19,19,19", "--d-override", "18", "--out", "{out}"], "out",
      "358ef520ae3024a662f3c74495a2deceb893c341d4956abcdf3c054931521ac1"),
+    # plain mode with explicit offsets on a torus whose moduli differ
+    ("torus-plain-out", ["color-torus", "--moduli", "14,13", "--d", "6", "--mode", "plain",
+                         "--offsets", "0,3,5", "--out", "{out}"], "out",
+     "f32098f32d9b3fa10e5bf5f5775e911ac2e7f884963f3fa1ecf7042efa9b7021"),
+    # a three-dimensional core torus
+    ("torus-cube-out", ["color-torus", "--moduli", "12,13,12", "--d", "6", "--mode", "core",
+                        "--seed", "4", "--out", "{out}"], "out",
+     "f34c40fed0244fa660fba7538be24868fda8e196585fb1616d4a5de53171ada6"),
 ]
 
 
