@@ -64,12 +64,6 @@ class Box:
         ranges = [range(b, b + a + 1) for b, a in zip(self.origin, self.sizes)]
         return product(*ranges)
 
-    def vertex_count(self) -> int:
-        out = 1
-        for a in self.sizes:
-            out *= a + 1
-        return out
-
     def contains(self, v: Vertex) -> bool:
         return all(b <= x <= b + a for x, b, a in zip(v, self.origin, self.sizes))
 
@@ -297,6 +291,18 @@ def _outer_sum(columns: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
+def _box_index(
+    lows: Sequence[int], radices: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    """Row-major torus index of every vertex of the box lows .. lows +
+    radices - 1, in row-major box order, coordinates reduced modulo the
+    torus."""
+    return _outer_sum([
+        [(low + x) % q * st for x in range(r)]
+        for low, r, q, st in zip(lows, radices, moduli, _strides(moduli))
+    ])
+
+
 def _box_frame(
     box: Box, allowed: bytes
 ) -> tuple[dict[Vertex, int], dict[int, _EdgeClass]]:
@@ -331,13 +337,10 @@ def _torus_frame(
     ``steps`` maps each class key (an axis, or the step itself) to its
     step vector and the slots the class may carry.
     """
-    strides = _strides(moduli)
-    classes = {}
-    for cls, (step, allowed) in steps.items():
-        columns = [
-            [(x + s) % q * st for x in range(q)] for s, q, st in zip(step, moduli, strides)
-        ]
-        classes[cls] = (_outer_sum(columns), allowed)
+    classes = {
+        cls: (_box_index(step, moduli, moduli), allowed)
+        for cls, (step, allowed) in steps.items()
+    }
     return _frame_index([0] * len(moduli), moduli), classes
 
 

@@ -31,11 +31,10 @@ from .grid import (
     SchreierGraphView,
     Torus,
     Vertex,
-    _frame_index,
+    _box_index,
     _outer_sum,
     _scan_coloring,
     _scan_problems,
-    _strides,
     _torus_frame,
 )
 from .lattice import (
@@ -52,7 +51,8 @@ from .tiling import (
     Tiling,
     brick_tiling,
     is_all_even,
-    region_coloring,
+    local_edges,
+    region_frame,
     segment_lengths,
     validate_tiling,
 )
@@ -97,13 +97,6 @@ class CosetModel:
             for t in range(len(v)):
                 v[t] += zj * b[t]
         return tuple(x % q for x, q in zip(v, self.moduli))
-
-    def chart_index(self, z: Vertex) -> int:
-        """Row-major position of a chart point, reduced modulo the chart."""
-        index = 0
-        for x, r in zip(z, self.chart_moduli):
-            index = index * r + x % r
-        return index
 
     def orbit(self, rep: Vertex) -> list[Vertex]:
         """The orbit of rep: to_ambient(rep, z) for every chart point z, in
@@ -276,10 +269,9 @@ def run_layered(
 
     A region's placed edges depend on its index and shift factor alone,
     so they are computed once per level and reused for every orbit of
-    it.  They are kept as the region's local edges, (frame position,
-    step, level color) and shared by every region of one size and shift,
-    and the region's frame, which sends a frame position to a chart
-    row-major index.  Orbit rep writes the edge at chart index i to
+    it.  They are kept as the region's ``tiling.local_edges`` with level
+    steps and colors, and its ``tiling.region_frame``, which sends a
+    frame position to a chart row-major index.  Orbit rep writes the edge at chart index i to
     ``orbit(rep)[i]``, so no edge goes through the chart map one by one.
     The shift search and the chart/ambient agreement check stay per
     orbit.
@@ -294,6 +286,8 @@ def run_layered(
     d = tilings[0].d
     if any(t.d != d for t in tilings):
         raise InvalidInputError("all levels must share one marker distance")
+    if d % 4 != 2:
+        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {d}")
     k = (d - 2) // 4
     shift_bound = max(2 * k - 2, 0)
     beta_s = vscale(dec.beta, dec.s)
@@ -315,20 +309,20 @@ def run_layered(
         ni = model.chart_dim
         names = {c: level_color_name(c, level, ni) for c in palette(ni)}
         coeffs = dec.a_coeffs[level]
-        index = model.chart_index
+        chart_moduli = model.chart_moduli
         cores = [
-            [index(v) for v in region.core().vertices()] if is_all_even(region) else None
+            _box_index(region.core().origin, [3] * ni, chart_moduli)
+            if is_all_even(region) else None
             for region in tiling.regions
         ]
         # (sizes, shift) -> the region's edges as (frame position, step, color)
-        localized: dict[tuple[Vertex, Optional[Vector]], list] = {}
+        localized: dict[tuple[Vertex, Vector], list] = {}
         # (region index, shift factor or None) -> (shifted core, frame, local edges)
         placed: dict[tuple[int, Optional[int]], tuple[list[int], list[int], list]] = {}
-        strides = _strides(model.chart_moduli)
 
         def place(idx: int, a: Optional[int]) -> tuple[list[int], list[int], list]:
             region = tiling.regions[idx]
-            t = None
+            t = (0,) * ni
             core: list[int] = []
             if a is not None:
                 t = tuple(a * c for c in coeffs)
@@ -342,22 +336,15 @@ def run_layered(
                 shifted_box = region.shifted_core(t)
                 if not all(region.contains(v) for v in shifted_box.vertices()):
                     raise VerificationError(f"shifted core {shifted_box} leaves its region")
-                core = [index(v) for v in shifted_box.vertices()]
-            # the frame is the region padded by one vertex below, since its
-            # edges have bases in [-1, a_j] along every axis
+                core = _box_index(shifted_box.origin, [3] * ni, chart_moduli)
             local = localized.get((region.sizes, t))
             if local is None:
-                position = _frame_index([-1] * ni, [size + 2 for size in region.sizes])
                 local = localized[(region.sizes, t)] = [
-                    (position[edge.base], model.basis[edge.axis - 1], names[color])
-                    for edge, color in region_coloring(region, "shifted", d, t).items()
+                    (i, model.basis[axis - 1], names[color])
+                    for i, axis, color in local_edges(region.sizes, False, t)
                 ]
-            frame = _outer_sum([
-                [(o + x) % r * st for x in range(-1, size + 1)]
-                for o, size, r, st in zip(region.origin, region.sizes, model.chart_moduli, strides)
-            ])
-            placed[(idx, a)] = core, frame, local
-            return core, frame, local
+            placed[(idx, a)] = core, region_frame(region, chart_moduli), local
+            return placed[(idx, a)]
 
         for rep in model.reps:
             points = model.orbit(rep)

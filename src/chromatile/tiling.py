@@ -27,6 +27,8 @@ from .grid import (
     GridEdge,
     Torus,
     Vertex,
+    _box_index,
+    _frame_index,
     _scan_coloring,
     _scan_problems,
     _torus_frame,
@@ -137,10 +139,6 @@ class TilingReport:
     problems: tuple[str, ...]
 
 
-def region_vertices(region: Box, torus: Torus) -> set[Vertex]:
-    return {torus.reduce(v) for v in region.vertices()}
-
-
 def validate_tiling(tiling: Tiling) -> TilingReport:
     """Check the partition, the d / d+1 vertex widths, and minimum width.
 
@@ -149,7 +147,8 @@ def validate_tiling(tiling: Tiling) -> TilingReport:
     """
     problems: list[str] = []
     torus = tiling.torus
-    seen: dict[Vertex, Box] = {}
+    covered = bytearray(torus.vertex_count())
+    points: list[Vertex] = []  # the torus vertices by index, listed at the first overlap
     for region in tiling.regions:
         for ax, a in enumerate(region.sizes, start=1):
             width = a + 1
@@ -160,14 +159,17 @@ def validate_tiling(tiling: Tiling) -> TilingReport:
                 )
             if width < 2:
                 problems.append(f"region at {region.origin} is too thin on axis {ax}")
-        pts = region_vertices(region, torus)
-        if len(pts) != region.vertex_count():
+        indices = _box_index(region.origin, [a + 1 for a in region.sizes], torus.moduli)
+        # a side of more vertices than its modulus wraps onto itself
+        if any(a >= q for a, q in zip(region.sizes, torus.moduli)):
             problems.append(f"region at {region.origin} self-overlaps modulo the torus")
-        for v in pts:
-            if v in seen:
-                problems.append(f"vertex {v} covered by two regions")
-            seen[v] = region
-    missing = torus.vertex_count() - len(seen)
+            indices = set(indices)
+        for i in indices:
+            if covered[i]:
+                points = points or list(torus.vertices())
+                problems.append(f"vertex {points[i]} covered by two regions")
+            covered[i] = 1
+    missing = covered.count(0)
     if missing:
         problems.append(f"{missing} torus vertices uncovered")
     return TilingReport(not problems, tuple(problems))
@@ -193,31 +195,29 @@ def first_odd_axis(region: Box) -> int:
 
 
 @lru_cache(maxsize=None)
-def _origin_coloring(sizes: tuple[int, ...], plain: bool, shift: Vector) -> EdgeColoring:
+def local_edges(
+    sizes: tuple[int, ...], plain: bool, shift: Vector
+) -> list[tuple[int, int, str]]:
+    """A region's edges as (frame position, axis, color), shared by every
+    region of these sizes and core shift, which makes colorings local.
+
+    The frame is the region padded by one vertex below, since the edge
+    bases lie in [-1, a_j] along every axis; ``region_frame`` places it.
+    """
     box = Box((0,) * len(sizes), sizes)
     if plain:
-        return color_bc1(box)
-    if is_all_even(box):
-        return color_shifted_core(box, shift)
-    return color_bc2(box, first_odd_axis(box))
+        coloring = color_bc1(box)
+    elif is_all_even(box):
+        coloring = color_shifted_core(box, shift)
+    else:
+        coloring = color_bc2(box, first_odd_axis(box))
+    position = _frame_index([-1] * box.n, [a + 2 for a in sizes])
+    return [(position[edge.base], edge.axis, color) for edge, color in coloring.items()]
 
 
-def region_coloring(
-    region: Box, mode: str, d: int, shift: Optional[Vector] = None
-) -> EdgeColoring:
-    """The coloring a region contributes, built at the origin.
-
-    It depends only on the region's sizes and core shift (zeros when
-    ``shift`` is None): equal sizes and shifts get the same object,
-    which makes the tiling's coloring local.  Callers place each edge
-    at ``region.origin`` and must not write to the coloring.
-    """
-    if mode not in ("plain", "core", "shifted"):
-        raise InvalidInputError(f"unknown tiling mode {mode!r}")
-    if mode != "plain" and d % 4 != 2:
-        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {d}")
-    t = tuple(shift) if shift is not None else (0,) * region.n
-    return _origin_coloring(region.sizes, mode == "plain", t)
+def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
+    """The row-major torus index of every frame position of a region."""
+    return _box_index([b - 1 for b in region.origin], [a + 2 for a in region.sizes], moduli)
 
 
 def color_tiling(
@@ -236,8 +236,6 @@ def color_tiling(
     report = validate_tiling(tiling)
     if not report.ok:
         raise InvalidInputError("invalid tiling: " + "; ".join(report.problems))
-    if mode == "shifted" and shifts is None:
-        shifts = {}
     for idx in shifts or {}:
         if not 0 <= idx < len(tiling.regions):
             raise InvalidInputError(f"shift for unknown region index {idx}")
@@ -245,13 +243,19 @@ def color_tiling(
             raise InfeasibleError(
                 f"region {idx} has an odd side and cannot take a core shift"
             )
+    if mode not in ("plain", "core", "shifted"):
+        raise InvalidInputError(f"unknown tiling mode {mode!r}")
+    if mode != "plain" and tiling.d % 4 != 2:
+        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
     torus = tiling.torus
+    points = list(torus.vertices())
     out = EdgeColoring()
+    write = out.write
     for idx, region in enumerate(tiling.regions):
-        shift = shifts.get(idx) if shifts else None
-        local = region_coloring(region, mode, tiling.d, shift)
-        for edge, color in local.items():
-            out.write(GridEdge(torus.add(edge.base, region.origin), edge.axis), color)
+        t = tuple((shifts or {}).get(idx, (0,) * region.n))
+        frame = region_frame(region, torus.moduli)
+        for i, axis, color in local_edges(region.sizes, mode == "plain", t):
+            write(GridEdge(points[frame[i]], axis), color)
     expected = torus.n * torus.vertex_count()
     if len(out) != expected:
         raise VerificationError(

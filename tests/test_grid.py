@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatile.errors import InvalidInputError
 from chromatile.grid import (
@@ -10,6 +12,8 @@ from chromatile.grid import (
     GridEdge,
     SchreierGraphView,
     Torus,
+    _box_index,
+    _frame_index,
     adjacent_edges,
     edges_in,
 )
@@ -146,3 +150,25 @@ class TestSchreierAndDistance:
         s = GeneratorSet.from_vectors([(1,), (2,)])
         view = SchreierGraphView(Torus((9,)), s)
         assert len(view.edge_keys()) == 9 * 2  # |S| * |T| / 2
+
+
+@st.composite
+def wrapped_boxes(draw):
+    """Moduli, lows and radices of a box on a torus with n <= 3; lows may
+    be negative and a side may span up to twice its modulus."""
+    n = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    lows = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    radices = [draw(st.integers(1, 2 * q)) for q in moduli]
+    return moduli, lows, radices
+
+
+class TestBoxIndex:
+    @given(wrapped_boxes())
+    @settings(max_examples=200, deadline=None)
+    def test_against_reduce(self, case):
+        moduli, lows, radices = case
+        torus = Torus(tuple(moduli))
+        index = _frame_index([0] * len(moduli), moduli)
+        box = _frame_index(lows, radices)  # row-major, as dicts keep order
+        assert _box_index(lows, radices, moduli) == [index[torus.reduce(v)] for v in box]

@@ -4,14 +4,24 @@ import pytest
 
 from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import Box, GridEdge, Torus, edges_in
-from chromatile.rectcolor import C, EdgeColoring, P, palette
+from chromatile.rectcolor import (
+    C,
+    EdgeColoring,
+    P,
+    color_bc1,
+    color_bc2,
+    color_shifted_core,
+    palette,
+)
 from chromatile.tiling import (
     Tiling,
     allowed_core_edges,
     brick_tiling,
     color_tiling,
+    first_odd_axis,
     is_all_even,
-    region_coloring,
+    local_edges,
+    region_frame,
     segment_lengths,
     torus_edge,
     validate_tiling,
@@ -69,11 +79,21 @@ class TestBrickTiling:
     def test_validate_negatives(self):
         torus = Torus((12,))
         overlapping = Tiling(torus, (Box((0,), (5,)), Box((5,), (6,))), 6)
-        assert not validate_tiling(overlapping).ok
+        assert validate_tiling(overlapping).problems == (
+            "vertex (5,) covered by two regions",
+        )
         missing = Tiling(torus, (Box((0,), (5,)),), 6)
-        assert not validate_tiling(missing).ok
+        assert validate_tiling(missing).problems == ("6 torus vertices uncovered",)
         wrong_width = Tiling(torus, (Box((0,), (8,)), Box((9,), (2,))), 6)
-        assert not validate_tiling(wrong_width).ok
+        assert validate_tiling(wrong_width).problems == (
+            "region at (0,) spans 9 vertices along axis 1; expected 6 or 7",
+            "region at (9,) spans 3 vertices along axis 1; expected 6 or 7",
+        )
+        # six vertices on a ring of five: the region meets itself, no other
+        self_overlap = Tiling(Torus((5,)), (Box((0,), (5,)),), 5)
+        assert validate_tiling(self_overlap).problems == (
+            "region at (0,) self-overlaps modulo the torus",
+        )
 
 
 def crossing_edges(tiling):
@@ -166,10 +186,25 @@ class TestColorTiling:
          ("shifted", (10, 10), (2, -2))],
     )
     def test_region_coloring_is_shared(self, mode, sizes, shift):
-        # one object per size and shift, whatever the region's origin
-        first = region_coloring(Box((0, 0), sizes), mode, 10, shift)
+        # one list per size and shift; placed through the frame of a region
+        # anywhere on the torus, it is the builder's coloring of that region
+        t = shift or (0, 0)
+        local = local_edges(sizes, mode == "plain", t)
+        assert local_edges(sizes, mode == "plain", t) is local
+        torus = Torus((23, 29))
+        points = list(torus.vertices())
         for origin in [(7, 3), (-4, 11), (20, 0)]:
-            assert region_coloring(Box(origin, sizes), mode, 10, shift) is first
+            region = Box(origin, sizes)
+            frame = region_frame(region, torus.moduli)
+            if mode == "plain":
+                built = color_bc1(region)
+            elif is_all_even(region):
+                built = color_shifted_core(region, t)
+            else:
+                built = color_bc2(region, first_odd_axis(region))
+            assert {GridEdge(points[frame[i]], axis): color for i, axis, color in local} == {
+                torus_edge(edge, torus): color for edge, color in built.items()
+            }
 
     def test_seeded_family_properness(self):
         cases = 0
