@@ -9,7 +9,7 @@ once and that color names come from the declared legend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidInputError
 from .grid import GridEdge, Vertex
@@ -91,11 +91,32 @@ def serialize_coloring(doc: ColoringDocument) -> str:
         if color not in legend:
             raise InvalidInputError(f"color {color} missing from the legend")
     lines.append("palette=" + ",".join(doc.legend))
-    records = sorted(doc.coloring.items())
-    lines.append(f"edges={len(records)}")
-    for edge, color in records:
-        lines.append(f"{fmt_vec(edge.base)} ; {edge.axis} ; {color}")
+    lines.append(f"edges={len(doc.coloring)}")
+    lines += _edge_records(doc.coloring.items(), str)
     return "\n".join(lines) + "\n"
+
+
+def _edge_records(
+    items: Iterable[tuple[tuple[Vertex, object], str]], fmt_class: Callable[[object], str]
+) -> list[str]:
+    """One "base ; edge class ; color" line per edge, sorted by (base, class).
+
+    The edge class is an axis or a step.  Records are grouped by base,
+    so that each base and each class is formatted once.
+    """
+    by_base: dict[Vertex, list[tuple[object, str]]] = {}
+    for (base, cls), color in items:
+        by_base.setdefault(base, []).append((cls, color))
+    class_text: dict[object, str] = {}
+    lines = []
+    for base in sorted(by_base):
+        prefix = fmt_vec(base) + " ; "
+        for cls, color in sorted(by_base[base]):
+            text = class_text.get(cls)
+            if text is None:
+                text = class_text[cls] = fmt_class(cls)
+            lines.append(f"{prefix}{text} ; {color}")
+    return lines
 
 
 def _field(header: dict[str, str], key: str, convert=int):
@@ -252,19 +273,7 @@ def serialize_layered(doc: LayeredDocument) -> str:
         lines.append(f"shift={level} ; {fmt_vec(rep)} ; {idx} ; {a}")
     lines.append("palette=" + ",".join(doc.legend))
     lines.append(f"edges={len(doc.coloring)}")
-    # records sort by (base, step): group them by base, so that each base
-    # and each step is formatted once
-    by_base: dict[Vertex, list[tuple[Vector, str]]] = {}
-    for (base, step), color in doc.coloring.items():
-        by_base.setdefault(base, []).append((step, color))
-    step_text: dict[Vector, str] = {}
-    for base in sorted(by_base):
-        prefix = fmt_vec(base) + " ; "
-        for step, color in sorted(by_base[base]):
-            text = step_text.get(step)
-            if text is None:
-                text = step_text[step] = fmt_vec(step)
-            lines.append(f"{prefix}{text} ; {color}")
+    lines += _edge_records(doc.coloring.items(), fmt_vec)
     return "\n".join(lines) + "\n"
 
 
