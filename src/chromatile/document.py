@@ -136,15 +136,18 @@ def _int(text: str, line: str) -> int:
         raise InvalidInputError(f"bad integer {text!r} in {line!r}") from exc
 
 
-def _read(
-    text: str, fmt: str
-) -> tuple[dict[str, str], list[str], list[str], Iterator[tuple[Vertex, str, str, str]]]:
+def _read(text: str, fmt: str) -> tuple[
+    dict[str, str], list[str], list[str],
+    Callable[[Optional[Vector]], Iterator[tuple[Vertex, str, str, str]]],
+]:
     """The header, the shift= lines, the legend and the edge records of a document.
 
     Header and shift= lines come first, then the records.  Checks the
-    format line and edges= against the record count at once; the records
-    are checked as they are yielded, as (base, second field, color,
-    line): three fields, a base of dimension n, a color from the legend.
+    format line and edges= against the record count at once.
+    ``records(moduli)`` yields the records as (base, second field, color,
+    line) and checks each as it goes: three fields, a base of dimension
+    n, inside [0, q_i) on every axis when ``moduli`` is given, and a color
+    from the legend.
     """
     header: dict[str, str] = {}
     shifts: list[str] = []
@@ -172,7 +175,7 @@ def _read(
     legend = [c for c in header.get("palette", "").split(",") if c]
     legal = set(legend)
 
-    def records() -> Iterator[tuple[Vertex, str, str, str]]:
+    def records(moduli: Optional[Vector]) -> Iterator[tuple[Vertex, str, str, str]]:
         for line in lines:
             parts = [p.strip() for p in line.split(";")]
             if len(parts) != 3:
@@ -180,11 +183,17 @@ def _read(
             base = parse_vec(parts[0])
             if len(base) != n:
                 raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+            if moduli is not None:
+                for x, q in zip(base, moduli):
+                    if not 0 <= x < q:
+                        raise InvalidInputError(
+                            f"record {line!r} has a base off the torus {fmt_vec(moduli)}"
+                        )
             if parts[2] not in legal:
                 raise InvalidInputError(f"color {parts[2]!r} not in the legend")
             yield base, parts[1], parts[2], line
 
-    return header, shifts, legend, records()
+    return header, shifts, legend, records
 
 
 def parse_coloring_document(text: str) -> ColoringDocument:
@@ -193,12 +202,13 @@ def parse_coloring_document(text: str) -> ColoringDocument:
         raise InvalidInputError("a coloring document has no shift= lines")
     n = _field(header, "n")
     kind = header.get("kind", "")
-    if kind == "torus" and len(_field(header, "moduli", parse_vec)) != n:
+    moduli = _field(header, "moduli", parse_vec) if kind == "torus" else None
+    if moduli is not None and len(moduli) != n:
         raise InvalidInputError(f"moduli= does not fit dimension {n}")
     if not set(legend) <= set(palette(n)):
         raise InvalidInputError(f"palette= names a color outside palette({n})")
     coloring = EdgeColoring()
-    for base, axis_text, color, line in records:
+    for base, axis_text, color, line in records(moduli):
         axis = _int(axis_text, line)
         if not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
@@ -279,6 +289,10 @@ def serialize_layered(doc: LayeredDocument) -> str:
 
 def parse_layered_document(text: str) -> LayeredDocument:
     header, shift_lines, legend, records = _read(text, LAYERED_FORMAT)
+    n = _field(header, "n")
+    moduli = _field(header, "moduli", parse_vec)
+    if len(moduli) != n:
+        raise InvalidInputError(f"moduli= does not fit dimension {n}")
     levels = _field(header, "levels")
     k_sets = []
     for level in range(levels):
@@ -294,7 +308,7 @@ def parse_layered_document(text: str) -> LayeredDocument:
     generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
     steps = set(generators)
     coloring = EdgeColoring()
-    for base, step_text, color, line in records:
+    for base, step_text, color, line in records(moduli):
         step = parse_vec(step_text)
         if step not in steps:
             raise InvalidInputError(f"record {line!r} steps by no listed generator")
@@ -303,8 +317,8 @@ def parse_layered_document(text: str) -> LayeredDocument:
             raise InvalidInputError(f"edge {key} appears twice")
         coloring.write(key, color)
     return LayeredDocument(
-        n=_field(header, "n"),
-        moduli=_field(header, "moduli", parse_vec),
+        n=n,
+        moduli=moduli,
         generators=generators,
         levels=levels,
         d=_field(header, "d"),

@@ -78,6 +78,8 @@ class TestColoringDocuments:
             ("rect", "edges=4\n", "edges=four\n"),
             ("torus", "moduli=13\n", ""),
             ("torus", "moduli=13\n", "moduli=13,13\n"),
+            ("torus", "\n0 ; 1 ; 1\n", "\n13 ; 1 ; 1\n"),  # base off the torus
+            ("torus", "\n0 ; 1 ; 1\n", "\n-1 ; 1 ; 1\n"),
             ("rect", "palette=", "shift=0 ; 0 ; 5 ; 0\npalette="),  # layered-only line
             ("rect", "2 ; 1 ; c1\n", "2 ; 1 ; c1\nmode=core\n"),  # header after records
         ],
@@ -106,6 +108,9 @@ class TestColoringDocuments:
             ("\n0 ; 1 ; p1@0\n", "\n0,0 ; 1 ; p1@0\n"),  # base of the wrong dimension
             ("\n0 ; 1 ; p1@0\n", "\n0 ; 3 ; p1@0\n"),  # step not in generators=
             ("\n0 ; 1 ; p1@0\n", "\n0 ; 1 ; p1@0\nd=6\n"),  # header after records
+            ("\n0 ; 1 ; p1@0\n", "\n37 ; 1 ; p1@0\n"),  # base off the torus
+            ("\n0 ; 1 ; p1@0\n", "\n-1 ; 1 ; p1@0\n"),
+            ("moduli=37\n", "moduli=37,37\n"),
         ],
     )
     def test_malformed_layered_document(self, old, new):
