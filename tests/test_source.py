@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import copy
 import sys
 from pathlib import Path
 
 import chromatile
+from chromatile.cli import main
 
 
 def test_no_assert_statements():
@@ -40,3 +42,33 @@ def test_imports_stay_light():
                 if name.split(".")[0] not in allowed
             ]
     assert not found
+
+
+def _module_state() -> dict:
+    """A copy of every module-level dict, list, set and bytearray in the package."""
+    return {
+        (module_name, name): copy.deepcopy(value)
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.split(".")[0] == "chromatile"
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
+    }
+
+
+def test_no_module_state_survives_a_call(tmp_path, capsys):
+    """Calls leave no module-level state behind.
+
+    The benchmark empties only ``functools`` caches between calls, so a
+    module-level cache would let later rounds run warm.
+    """
+    genset = tmp_path / "gen.txt"
+    genset.write_text("n=2\n1,0\n0,1\n1,1\n", encoding="utf-8")
+    before = _module_state()
+    assert before  # the walk sees the package's tables
+    assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core",
+                 "--seed", "2", "--out", str(tmp_path / "torus.txt")]) == 0
+    assert main(["layered", "--genset", str(genset), "--symmetrize", "--moduli", "37,37",
+                 "--d-override", "18", "--out", str(tmp_path / "layered.txt")]) == 0
+    assert main(["color-rect", "--sizes", "10,10", "--mode", "shifted", "--t", "2,-2",
+                 "--out", str(tmp_path / "rect.txt")]) == 0
+    assert _module_state() == before
