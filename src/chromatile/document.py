@@ -176,19 +176,21 @@ def _read(text: str, fmt: str) -> tuple[
     legal = set(legend)
 
     def records(moduli: Optional[Vector]) -> Iterator[tuple[Vertex, str, str, str]]:
+        base_text, base = None, ()
         for line in lines:
             parts = [p.strip() for p in line.split(";")]
             if len(parts) != 3:
                 raise InvalidInputError(f"bad edge record {line!r}")
-            base = parse_vec(parts[0])
-            if len(base) != n:
-                raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
-            if moduli is not None:
-                for x, q in zip(base, moduli):
-                    if not 0 <= x < q:
-                        raise InvalidInputError(
-                            f"record {line!r} has a base off the torus {fmt_vec(moduli)}"
-                        )
+            if parts[0] != base_text:  # written documents list a base's records together
+                base_text, base = parts[0], parse_vec(parts[0])
+                if len(base) != n:
+                    raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+                if moduli is not None:
+                    for x, q in zip(base, moduli):
+                        if not 0 <= x < q:
+                            raise InvalidInputError(
+                                f"record {line!r} has a base off the torus {fmt_vec(moduli)}"
+                            )
             if parts[2] not in legal:
                 raise InvalidInputError(f"color {parts[2]!r} not in the legend")
             yield base, parts[1], parts[2], line
