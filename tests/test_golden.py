@@ -18,11 +18,26 @@ from chromatile.cli import main
 from chromatile.grid import Box
 from chromatile.rectcolor import admissible_shifts, color_bc1, color_bc2, color_shifted_core
 
-# generating-set files, listing one of v, -v; every call passes --symmetrize
-GENSETS = {
+# input files written as given: generating sets, listing one of v, -v (every
+# call passes --symmetrize), and one hand-written coloring document
+INPUTS = {
     "genset": "n=1\n1\n2\n",
     "diag": "n=2\n1,0\n0,1\n1,1\n",
     "cube": "n=3\n1,0,0\n0,1,0\n0,0,1\n1,1,1\n",
+    # a torus coloring that wraps along axis 2 only: its stubs on x = 0 print
+    # x1="60" at the int end and x2="60.0" at the float end
+    "wrap2": "format=chromatile/coloring/v1\nkind=torus\nn=2\nmoduli=3,3\n"
+             "palette=c1,c2,1,2,3\nedges=4\n"
+             "0,0 ; 1 ; 2\n0,0 ; 2 ; c2\n0,1 ; 2 ; 1\n0,2 ; 2 ; c2\n",
+}
+
+# documents that the render cases read, each written by one CLI call first
+DOCUMENTS = {
+    "torus": ["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core",
+              "--seed", "9", "--out", "{torus}"],
+    "rect": ["color-rect", "--sizes", "6,6", "--mode", "core", "--out", "{rect}"],
+    "cube3": ["color-torus", "--moduli", "12,13,12", "--d", "6", "--mode", "core",
+              "--seed", "4", "--out", "{cube3}"],
 }
 
 # (name, argv, output file or None for stdout, sha256)
@@ -65,20 +80,27 @@ GOLDEN = [
     ("torus-cube-out", ["color-torus", "--moduli", "12,13,12", "--d", "6", "--mode", "core",
                         "--seed", "4", "--out", "{out}"], "out",
      "f34c40fed0244fa660fba7538be24868fda8e196585fb1616d4a5de53171ada6"),
+    ("render-rect", ["render", "--in", "{rect}", "--out", "{out}"], "out",
+     "9d19382819b012cb3146e2dc55f4c8bea04ba82c6629bf5b3700917fb10a1684"),
+    ("render-slice", ["render", "--in", "{cube3}", "--slice", "3=5", "--out", "{out}"], "out",
+     "3e6e26e23107515054f7a225567f0f98accd81d814a234bb047cbf66a0209b10"),
+    ("render-wrap2", ["render", "--in", "{wrap2}", "--out", "{out}"], "out",
+     "ac4e1ec69b9f2582a80893ebd55ea02f8ec04a57772765a39ebff0680dc62279"),
 ]
 
 
 def _digest(name, argv, target, tmp_path, capsys):
-    paths = {key: tmp_path / f"{key}.txt" for key in GENSETS}
-    for key, text in GENSETS.items():
+    paths = {key: tmp_path / f"{key}.txt" for key in INPUTS}
+    for key, text in INPUTS.items():
         paths[key].write_text(text, encoding="utf-8")
     paths["out"] = tmp_path / f"{name}.out"
-    paths["torus"] = tmp_path / "torus.txt"
-    if "{torus}" in argv:
-        assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core",
-                     "--seed", "9", "--out", str(paths["torus"])]) == 0
+    paths.update((key, tmp_path / f"{key}.txt") for key in DOCUMENTS)
+    fill = {k: str(p) for k, p in paths.items()}
+    for key, make in DOCUMENTS.items():
+        if f"{{{key}}}" in argv:
+            assert main([a.format(**fill) for a in make]) == 0
     capsys.readouterr()
-    assert main([a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]) == 0
+    assert main([a.format(**fill) for a in argv]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")
     data = paths[target].read_bytes() if target else stdout
     return hashlib.sha256(data).hexdigest()
