@@ -9,7 +9,9 @@ Each one reads a definition literally and makes no claim to speed:
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
 * ``maximum_matching_size_exhaustive``: branch-and-memoize maximum
-  matching, the reference for networkx's blossom algorithm.
+  matching, the reference for networkx's blossom algorithm;
+* ``render_svg``: the straightforward SVG renderer that formats every
+  segment end on its own, the reference for ``chromatile.render``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from chromatile.document import ColoringDocument
 from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import SchreierGraphView, Vertex
 from chromatile.lattice import GeneratorSet, Vector, vneg
 from chromatile.lowerbound import TorusLabeling
 from chromatile.rectcolor import EdgeColoring
+from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
 
 
 def verify_proper(coloring: EdgeColoring) -> bool:
@@ -115,3 +119,103 @@ def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
         return out
 
     return best(frozenset(range(len(vertices))))
+
+
+def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> str:
+    """Render the document, with ``slices`` pinning axes to values.
+
+    The axes not pinned must number exactly two; the first free axis
+    runs right, the second runs up.
+    """
+    slices = dict(slices or {})
+    for ax in slices:
+        if not 1 <= ax <= doc.n:
+            raise InvalidInputError(f"slice axis {ax} out of range 1..{doc.n}")
+    free = [ax for ax in range(1, doc.n + 1) if ax not in slices]
+    if len(free) != 2:
+        raise InvalidInputError(
+            f"need exactly 2 free axes to render, have {len(free)} "
+            f"(dimension {doc.n}, sliced {sorted(slices)})"
+        )
+    h_ax, v_ax = free
+
+    moduli = None
+    if doc.kind == "torus":
+        moduli = tuple(int(x) for x in doc.meta["moduli"].split(","))
+
+    segments = []  # (x1, y1, x2, y2, color-name)
+    for edge, color in sorted(doc.coloring.items()):
+        base, axis = edge.base, edge.axis
+        if any(base[ax - 1] != val for ax, val in slices.items()):
+            continue
+        if axis in slices:
+            continue
+        x, y = base[h_ax - 1], base[v_ax - 1]
+        dx = 1 if axis == h_ax else 0
+        dy = 1 if axis == v_ax else 0
+        wraps = moduli is not None and base[axis - 1] == moduli[axis - 1] - 1
+        if wraps:
+            # draw a stub leaving the frame and a stub entering at 0
+            segments.append((x, y, x + dx * _STUB, y + dy * _STUB, color))
+            ox = 0 if axis == h_ax else x
+            oy = 0 if axis == v_ax else y
+            segments.append((ox, oy, ox - dx * _STUB, oy - dy * _STUB, color))
+        else:
+            segments.append((x, y, x + dx, y + dy, color))
+
+    if not segments:
+        raise InvalidInputError("nothing to render in the requested slice")
+
+    xs = [s[0] for s in segments] + [s[2] for s in segments]
+    ys = [s[1] for s in segments] + [s[3] for s in segments]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+
+    def px(x: float) -> float:
+        return round(_MARGIN + (x - x_lo) * _UNIT, 1)
+
+    def py(y: float) -> float:
+        return round(_MARGIN + (y_hi - y) * _UNIT, 1)
+
+    legend_w = 120
+    width = int(2 * _MARGIN + (x_hi - x_lo) * _UNIT) + legend_w
+    height = int(2 * _MARGIN + (y_hi - y_lo) * _UNIT)
+    height = max(height, 2 * _MARGIN + len(doc.legend) * 18)
+
+    colors = _color_map(doc.legend)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for x1, y1, x2, y2, name in segments:
+        out.append(
+            f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" '
+            f'stroke="{colors[name]}" stroke-width="4" stroke-linecap="round"/>'
+        )
+    # small vertex dots on integer positions
+    seen = set()
+    for x1, y1, x2, y2, _ in segments:
+        for x, y in ((x1, y1), (x2, y2)):
+            if x == int(x) and y == int(y) and (x, y) not in seen:
+                seen.add((x, y))
+                out.append(
+                    f'<circle cx="{px(x)}" cy="{py(y)}" r="2.5" fill="#222"/>'
+                )
+    lx = width - legend_w + 10
+    out.append(
+        f'<text x="{lx}" y="{_MARGIN - 20}" font-family="monospace" '
+        f'font-size="13">legend</text>'
+    )
+    for i, name in enumerate(doc.legend):
+        yy = _MARGIN + i * 18
+        out.append(
+            f'<line x1="{lx}" y1="{yy}" x2="{lx + 24}" y2="{yy}" '
+            f'stroke="{colors[name]}" stroke-width="4"/>'
+        )
+        out.append(
+            f'<text x="{lx + 32}" y="{yy + 4}" font-family="monospace" '
+            f'font-size="12">{name}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -1,9 +1,14 @@
 """File formats, rendering, and the command-line surface."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatile.cli import main
 from chromatile.document import (
+    ColoringDocument,
     document_for_layered,
     document_for_rect,
     document_for_torus,
@@ -13,12 +18,19 @@ from chromatile.document import (
     serialize_layered,
 )
 from chromatile.errors import InvalidInputError
-from chromatile.grid import Box, Torus
+from chromatile.grid import Box, GridEdge, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
-from chromatile.rectcolor import color_bc1, palette, verify_boundary_condition, verify_shifted_core
+from chromatile.rectcolor import (
+    EdgeColoring,
+    color_bc1,
+    palette,
+    verify_boundary_condition,
+    verify_shifted_core,
+)
 from chromatile.render import render_svg
 from chromatile.tiling import brick_tiling, color_tiling
+from reference import render_svg as reference_render_svg
 from reference import verify_proper
 
 
@@ -132,7 +144,54 @@ class TestColoringDocuments:
         assert serialize_layered(back) == text
 
 
+@st.composite
+def render_cases(draw):
+    """A rect or torus document, n <= 3, on a random subset of its edges,
+    so that some axes do not wrap, and slices to render it with."""
+    n = draw(st.sampled_from([1, 2, 2, 2, 3, 3, 3]))
+    legend = palette(n)
+    if draw(st.booleans()):
+        moduli = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        meta = {"moduli": ",".join(map(str, moduli)), "mode": "core"}
+        ranges = [range(q) for q in moduli]
+        kind = "torus"
+    else:
+        origin = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+        sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        meta = {"origin": ",".join(map(str, origin)), "sizes": ",".join(map(str, sizes)),
+                "mode": "bc1"}
+        ranges = [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)]
+        kind = "rect"
+    edges = [GridEdge(base, ax) for base in product(*ranges) for ax in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=len(edges), unique=True))
+    coloring = EdgeColoring({e: draw(st.sampled_from(legend)) for e in chosen})
+    doc = ColoringDocument(kind, n, meta, legend, coloring)
+    if n == 3:
+        ax = draw(st.integers(1, 3))
+        slices = {ax: draw(st.sampled_from(ranges[ax - 1]))}
+    elif draw(st.integers(0, 3)) == 0:
+        slices = {draw(st.integers(0, n + 1)): 0}  # an error: too few free axes or off range
+    else:
+        slices = {}
+    return doc, slices
+
+
+def _render_or_error(render, doc, slices):
+    try:
+        return render(doc, slices)
+    except InvalidInputError as exc:
+        return f"InvalidInputError: {exc}"
+
+
 class TestRender:
+    @settings(max_examples=300, deadline=None)
+    @given(render_cases())
+    def test_matches_reference(self, case):
+        """Byte-identical to the per-segment reference renderer, errors included."""
+        doc, slices = case
+        assert _render_or_error(render_svg, doc, dict(slices)) == _render_or_error(
+            reference_render_svg, doc, dict(slices))
+
     def test_two_dimensional(self, reference_2x2_box, reference_2x2_coloring):
         doc = document_for_rect(
             reference_2x2_box.origin,

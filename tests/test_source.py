@@ -71,4 +71,6 @@ def test_no_module_state_survives_a_call(tmp_path, capsys):
                  "--d-override", "18", "--out", str(tmp_path / "layered.txt")]) == 0
     assert main(["color-rect", "--sizes", "10,10", "--mode", "shifted", "--t", "2,-2",
                  "--out", str(tmp_path / "rect.txt")]) == 0
+    assert main(["render", "--in", str(tmp_path / "torus.txt"),
+                 "--out", str(tmp_path / "torus.svg")]) == 0
     assert _module_state() == before
