@@ -8,6 +8,8 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .document import ColoringDocument
 from .errors import InvalidInputError
 
@@ -51,9 +53,7 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
     segments = []  # (x1, y1, x2, y2, color-name)
     for edge, color in sorted(doc.coloring.items()):
         base, axis = edge.base, edge.axis
-        if any(base[ax - 1] != val for ax, val in slices.items()):
-            continue
-        if axis in slices:
+        if slices and (axis in slices or any(base[ax - 1] != val for ax, val in slices.items())):
             continue
         x, y = base[h_ax - 1], base[v_ax - 1]
         dx = 1 if axis == h_ax else 0
@@ -71,16 +71,17 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
     if not segments:
         raise InvalidInputError("nothing to render in the requested slice")
 
-    xs = [s[0] for s in segments] + [s[2] for s in segments]
-    ys = [s[1] for s in segments] + [s[3] for s in segments]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x1s, y1s, x2s, y2s, _ = zip(*segments)
+    # min(min(a), min(b)) keeps the first extreme of a + b, as before, so an
+    # int extreme stays an int
+    x_lo, x_hi = min(min(x1s), min(x2s)), max(max(x1s), max(x2s))
+    y_lo, y_hi = min(min(y1s), min(y2s)), max(max(y1s), max(y2s))
 
-    def px(x: float) -> float:
-        return round(_MARGIN + (x - x_lo) * _UNIT, 1)
-
-    def py(y: float) -> float:
-        return round(_MARGIN + (y_hi - y) * _UNIT, 1)
+    # pixel text once per distinct coordinate; the key holds the type, since
+    # an int prints as 60 and a float of the same value as 60.0
+    xs, ys = x1s + x2s, y1s + y2s
+    xt = {k: str(round(_MARGIN + (k[1] - x_lo) * _UNIT, 1)) for k in set(zip(map(type, xs), xs))}
+    yt = {k: str(round(_MARGIN + (y_hi - k[1]) * _UNIT, 1)) for k in set(zip(map(type, ys), ys))}
 
     legend_w = 120
     width = int(2 * _MARGIN + (x_hi - x_lo) * _UNIT) + legend_w
@@ -88,6 +89,10 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
     height = max(height, 2 * _MARGIN + len(doc.legend) * 18)
 
     colors = _color_map(doc.legend)
+    tails = {
+        name: f'stroke="{hex_}" stroke-width="4" stroke-linecap="round"/>'
+        for name, hex_ in colors.items()
+    }
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -95,18 +100,17 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
     ]
     for x1, y1, x2, y2, name in segments:
         out.append(
-            f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" '
-            f'stroke="{colors[name]}" stroke-width="4" stroke-linecap="round"/>'
+            f'<line x1="{xt[type(x1), x1]}" y1="{yt[type(y1), y1]}" '
+            f'x2="{xt[type(x2), x2]}" y2="{yt[type(y2), y2]}" {tails[name]}'
         )
-    # small vertex dots on integer positions
-    seen = set()
-    for x1, y1, x2, y2, _ in segments:
-        for x, y in ((x1, y1), (x2, y2)):
-            if x == int(x) and y == int(y) and (x, y) not in seen:
-                seen.add((x, y))
-                out.append(
-                    f'<circle cx="{px(x)}" cy="{py(y)}" r="2.5" fill="#222"/>'
-                )
+    del segments, xs, ys
+    # small vertex dots on integer positions, in first-seen order
+    for x, y in dict.fromkeys(chain.from_iterable(zip(zip(x1s, y1s), zip(x2s, y2s)))):
+        if x == int(x) and y == int(y):
+            out.append(
+                f'<circle cx="{xt[type(x), x]}" cy="{yt[type(y), y]}" r="2.5" fill="#222"/>'
+            )
+    del x1s, y1s, x2s, y2s
     lx = width - legend_w + 10
     out.append(
         f'<text x="{lx}" y="{_MARGIN - 20}" font-family="monospace" '
@@ -123,4 +127,5 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
             f'font-size="12">{name}</text>'
         )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("")  # the closing newline, without copying the joined text
+    return "\n".join(out)
