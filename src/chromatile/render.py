@@ -72,16 +72,15 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         raise InvalidInputError("nothing to render in the requested slice")
 
     x1s, y1s, x2s, y2s, _ = zip(*segments)
-    # min(min(a), min(b)) keeps the first extreme of a + b, as before, so an
-    # int extreme stays an int
-    x_lo, x_hi = min(min(x1s), min(x2s)), max(max(x1s), max(x2s))
-    y_lo, y_hi = min(min(y1s), min(y2s)), max(max(y1s), max(y2s))
+    xs, ys = x1s + x2s, y1s + y2s
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
 
     # pixel text once per distinct coordinate; the key holds the type, since
     # an int prints as 60 and a float of the same value as 60.0
-    xs, ys = x1s + x2s, y1s + y2s
     xt = {k: str(round(_MARGIN + (k[1] - x_lo) * _UNIT, 1)) for k in set(zip(map(type, xs), xs))}
     yt = {k: str(round(_MARGIN + (y_hi - k[1]) * _UNIT, 1)) for k in set(zip(map(type, ys), ys))}
+    del xs, ys
 
     legend_w = 120
     width = int(2 * _MARGIN + (x_hi - x_lo) * _UNIT) + legend_w
@@ -103,14 +102,14 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
             f'<line x1="{xt[type(x1), x1]}" y1="{yt[type(y1), y1]}" '
             f'x2="{xt[type(x2), x2]}" y2="{yt[type(y2), y2]}" {tails[name]}'
         )
-    del segments, xs, ys
+    del segments  # the columns below hold all the dots need
     # small vertex dots on integer positions, in first-seen order
     for x, y in dict.fromkeys(chain.from_iterable(zip(zip(x1s, y1s), zip(x2s, y2s)))):
         if x == int(x) and y == int(y):
             out.append(
                 f'<circle cx="{xt[type(x), x]}" cy="{yt[type(y), y]}" r="2.5" fill="#222"/>'
             )
-    del x1s, y1s, x2s, y2s
+    del x1s, y1s, x2s, y2s  # freed before the text is joined
     lx = width - legend_w + 10
     out.append(
         f'<text x="{lx}" y="{_MARGIN - 20}" font-family="monospace" '
