@@ -189,8 +189,8 @@ class TestRender:
     def test_matches_reference(self, case):
         """Byte-identical to the per-segment reference renderer, errors included."""
         doc, slices = case
-        assert _render_or_error(render_svg, doc, dict(slices)) == _render_or_error(
-            reference_render_svg, doc, dict(slices))
+        assert _render_or_error(render_svg, doc, slices) == _render_or_error(
+            reference_render_svg, doc, slices)
 
     def test_two_dimensional(self, reference_2x2_box, reference_2x2_coloring):
         doc = document_for_rect(
