@@ -86,6 +86,20 @@ GOLDEN = [
      "3e6e26e23107515054f7a225567f0f98accd81d814a234bb047cbf66a0209b10"),
     ("render-wrap2", ["render", "--in", "{wrap2}", "--out", "{out}"], "out",
      "ac4e1ec69b9f2582a80893ebd55ea02f8ec04a57772765a39ebff0680dc62279"),
+    # perfect matchings, found and none, on the standard set and on +-{1, 2}
+    ("matchings-found", ["lowerbound", "--moduli", "4,5", "--search", "matchings"], None,
+     "a8402da980983862cadefcf5a7e48391f90ce5ff4c9c0d43b12b773af350fa3b"),
+    ("matchings-none", ["lowerbound", "--moduli", "31,31", "--search", "matchings"], None,
+     "7d293dc58a0ddf769430e080fecf18584471f8734e80dfdf145f7a41d3e17a00"),
+    ("matchings-genset-none", ["lowerbound", "--genset", "{genset}", "--symmetrize",
+                               "--moduli", "7", "--search", "matchings"], None,
+     "b2537b6aab14051a01711002c677a946411ee677cee2e8dfb9bd0354db2f9c36"),
+    ("matchings-genset-found", ["lowerbound", "--genset", "{genset}", "--symmetrize",
+                                "--moduli", "6", "--search", "matchings"], None,
+     "24237abdc27d8478cf14f522f24ab6f1076a14efd3092e9eb2244757e03f7f57"),
+    # the count and the first three witness lines
+    ("labelings", ["lowerbound", "--moduli", "4,6", "--search", "labelings"], None,
+     "c1a5e0a45542179f91cf4c0f46aa94ec0c0879bcf9006ebd5d85c47a0d4f5ecb"),
 ]
 
 
