@@ -49,7 +49,6 @@ from .layered import (
 from .lowerbound import (
     chromatic_index,
     has_perfect_matching,
-    induced_matching,
     pattern_count,
     search_respecting_labelings,
 )

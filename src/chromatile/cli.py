@@ -33,6 +33,7 @@ from .lowerbound import (
     chromatic_index,
     has_perfect_matching,
     pattern_count,
+    respects_matching,
     search_respecting_labelings,
 )
 from .rectcolor import (
@@ -196,9 +197,12 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
               f"vertices={torus.vertex_count()}")
     elif args.search == "labelings":
         hits = search_respecting_labelings(torus, s, limit=args.limit)
+        witnesses = hits[:3]
+        if not all(respects_matching(lab, s) for lab in witnesses):
+            raise VerificationError("a labeling found breaks a matching pattern")
         print(f"patterns={pattern_count(s)} respecting_labelings="
               f"{'>=' if len(hits) == args.limit else ''}{len(hits)}")
-        for lab in hits[:3]:
+        for lab in witnesses:
             print("witness: " + " ".join(
                 f"{','.join(map(str, v))}->{','.join(map(str, g))}"
                 for v, g in lab.phi

@@ -217,12 +217,6 @@ class SchreierGraphView:
                 )
             seen[image] = u
 
-    def vertices(self) -> list[Vertex]:
-        return sorted(self.domain.vertices())
-
-    def neighbors(self, x: Vertex) -> list[Vertex]:
-        return sorted(self.domain.add(x, u) for u in self.generators)
-
     def edge_keys(self) -> list[tuple[Vertex, Vector]]:
         """Canonical edges (base, step) with step the lex positive generator."""
         reps = self.generators.pairs()

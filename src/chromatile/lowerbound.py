@@ -8,17 +8,17 @@ with a wrong return step.  Odd tori have no perfect matching at all, so
 exhaustive pattern searches on them come up empty and their chromatic
 index exceeds the degree.
 
-Maximum matchings come from networkx's blossom algorithm.
+Whether a torus has a perfect matching at all follows from the orders
+of the generators, with no graph search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
-import networkx as nx
-
-from .errors import InfeasibleError, InvalidInputError, VerificationError
+from .errors import InfeasibleError, InvalidInputError
 from .grid import SchreierGraphView, Torus, Vertex
 from .lattice import GeneratorSet, Vector, vneg
 
@@ -73,21 +73,6 @@ def respects_matching(labeling: TorusLabeling, s: GeneratorSet) -> bool:
     return all(phi[torus.add(x, g)] == vneg(g) for x, g in phi.items())
 
 
-def induced_matching(labeling: TorusLabeling, s: GeneratorSet) -> set[frozenset[Vertex]]:
-    """The perfect matching {x, phi(x).x} of a respecting labeling."""
-    if not respects_matching(labeling, s):
-        raise InvalidInputError("labeling does not respect the matching patterns")
-    torus = labeling.torus
-    matching = {frozenset((x, torus.add(x, g))) for x, g in labeling.mapping().items()}
-    covered: dict[Vertex, int] = {}
-    for e in matching:
-        for v in e:
-            covered[v] = covered.get(v, 0) + 1
-    if any(c != 1 for c in covered.values()) or len(covered) != torus.vertex_count():
-        raise VerificationError("induced edges do not form a perfect matching")
-    return matching
-
-
 def search_respecting_labelings(
     torus: Torus, s: GeneratorSet, limit: Optional[int] = None
 ) -> list[TorusLabeling]:
@@ -139,20 +124,25 @@ def search_respecting_labelings(
 # perfect matchings
 # ---------------------------------------------------------------------------
 
-def maximum_matching_size(view: SchreierGraphView) -> int:
-    """Exact maximum matching size by blossom-based search (networkx)."""
-    vertices = view.vertices()
-    graph = nx.Graph()
-    graph.add_nodes_from(vertices)
-    for v in vertices:
-        for w in view.neighbors(v):
-            graph.add_edge(v, w)
-    return len(nx.max_weight_matching(graph, maxcardinality=True))
-
-
 def has_perfect_matching(view: SchreierGraphView) -> bool:
-    vertices = view.vertices()
-    return 2 * maximum_matching_size(view) == len(vertices)
+    """Whether the Schreier graph has a perfect matching.
+
+    The graph is the Cayley graph of the torus with generators S, so a
+    generator u splits the vertices into cycles of its order, the lcm
+    over axes of q_i / gcd(u_i, q_i).  A perfect matching exists exactly
+    when some u in S has even order, that is when q_i / gcd(u_i, q_i) is
+    even on some axis i.
+
+    * Found: every u-cycle has even length, so alternate u-edges match
+      every vertex.
+    * None: every generator has odd order.  Then <S> has odd order,
+      every component is an odd coset, and no perfect matching exists.
+    """
+    return any(
+        (q // gcd(x, q)) % 2 == 0
+        for u in view.generators
+        for x, q in zip(u, view.domain.moduli)
+    )
 
 
 # ---------------------------------------------------------------------------

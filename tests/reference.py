@@ -9,7 +9,8 @@ Each one reads a definition literally and makes no claim to speed:
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
 * ``maximum_matching_size_exhaustive``: branch-and-memoize maximum
-  matching, the reference for networkx's blossom algorithm;
+  matching over the graph's ``vertices`` and ``neighbors``, the
+  reference for ``has_perfect_matching``'s rule on generator orders;
 * ``render_svg``: the straightforward SVG renderer that formats every
   segment end on its own, the reference for ``chromatile.render``.
 """
@@ -98,13 +99,23 @@ def respects(
     return True
 
 
+def vertices(view: SchreierGraphView) -> list[Vertex]:
+    """Every vertex of the graph, sorted."""
+    return sorted(view.domain.vertices())
+
+
+def neighbors(view: SchreierGraphView, x: Vertex) -> list[Vertex]:
+    """The endpoints u.x of the edges at x, one per generator, sorted."""
+    return sorted(view.domain.add(x, u) for u in view.generators)
+
+
 def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
     """Branch-and-memoize maximum matching; exact, for tiny graphs only."""
-    vertices = view.vertices()
-    if len(vertices) > 16:
+    verts = vertices(view)
+    if len(verts) > 16:
         raise InvalidInputError("exhaustive matching is limited to 16 vertices")
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [sorted(index[w] for w in view.neighbors(v)) for v in vertices]
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [sorted(index[w] for w in neighbors(view, v)) for v in verts]
 
     @lru_cache(maxsize=None)
     def best(uncovered: frozenset[int]) -> int:
@@ -118,7 +129,7 @@ def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
                 out = max(out, 1 + best(rest - {w}))
         return out
 
-    return best(frozenset(range(len(vertices))))
+    return best(frozenset(range(len(verts))))
 
 
 def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> str:

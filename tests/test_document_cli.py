@@ -21,6 +21,7 @@ from chromatile.errors import InvalidInputError
 from chromatile.grid import Box, GridEdge, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
+from chromatile.lowerbound import TorusLabeling
 from chromatile.rectcolor import (
     EdgeColoring,
     color_bc1,
@@ -310,6 +311,17 @@ class TestCli:
         assert "respecting_labelings=0" in capsys.readouterr().out
         assert main(["lowerbound", "--moduli", "4", "--search", "matchings"]) == 0
         assert "found" in capsys.readouterr().out
+
+    def test_lowerbound_rejects_a_bad_witness(self, monkeypatch, capsys):
+        torus = Torus((4,))
+        good = TorusLabeling.from_map(torus, {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)})
+        bad = TorusLabeling.from_map(torus, {(i,): (1,) for i in range(4)})
+        monkeypatch.setattr("chromatile.cli.search_respecting_labelings",
+                            lambda *args, **kwargs: [good, bad])
+        assert main(["lowerbound", "--moduli", "4", "--search", "labelings"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "breaks a matching pattern" in captured.err
 
     @pytest.mark.parametrize("mode,sizes", [("bc1", "6,6"), ("bc2", "5,6"), ("core", "6,6")])
     def test_shift_outside_shifted_mode_is_invalid(self, mode, sizes, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import SchreierGraphView, Torus
@@ -12,13 +14,17 @@ from chromatile.lowerbound import (
     _edge_colorable,
     chromatic_index,
     has_perfect_matching,
-    induced_matching,
-    maximum_matching_size,
     pattern_count,
     respects_matching,
     search_respecting_labelings,
 )
-from reference import matching_patterns, maximum_matching_size_exhaustive, respects
+from reference import (
+    matching_patterns,
+    maximum_matching_size_exhaustive,
+    neighbors,
+    respects,
+    vertices,
+)
 
 S1 = GeneratorSet.standard(1)
 S2 = GeneratorSet.standard(2)
@@ -82,21 +88,13 @@ class TestRespects:
         with pytest.raises((InfeasibleError, InvalidInputError)):
             respects_matching(lab2, S1)
 
-    def test_induced_matching(self):
-        torus = Torus((4,))
-        lab = TorusLabeling.from_map(
-            torus, {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)}
-        )
-        matching = induced_matching(lab, S1)
-        assert matching == {frozenset({(0,), (1,)}), frozenset({(2,), (3,)})}
-        bad = TorusLabeling.from_map(torus, {(i,): (1,) for i in range(4)})
-        with pytest.raises(InvalidInputError):
-            induced_matching(bad, S1)
-
     def test_every_found_labeling_induces_perfect_matching(self):
         torus = Torus((6,))
         for lab in search_respecting_labelings(torus, S1):
-            induced_matching(lab, S1)  # asserts perfection internally
+            # the edges {x, x + phi(x)} cover each vertex once: x's
+            # partner is another vertex, whose partner is x
+            partner = {x: torus.add(x, g) for x, g in lab.phi}
+            assert all(partner[partner[x]] == x != partner[x] for x in partner)
 
     def test_search_matches_brute_force_enumeration(self):
         # independent oracle: enumerate every labeling and apply the
@@ -144,6 +142,24 @@ class TestRespects:
             search_respecting_labelings(Torus((4,)), S1, limit=limit)
 
 
+@st.composite
+def schreier_views(draw, max_vertices):
+    """A valid view on a torus of n <= 2 axes and at most ``max_vertices``
+    vertices, with a random symmetric S whose members are lifted off
+    their residues, so coordinates may be negative or exceed q."""
+    q1 = draw(st.integers(1, max_vertices))
+    moduli = (q1,) + tuple(draw(st.lists(st.integers(1, max_vertices // q1), max_size=1)))
+    torus = Torus(moduli)
+    # one residue of each pair {x, -x}, leaving out x = -x, which the
+    # view rejects as a doubled edge
+    neg = {x: torus.reduce(tuple(-c for c in x)) for x in torus.vertices()}
+    reps = sorted({min(x, y) for x, y in neg.items() if x != y})
+    assume(reps)
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, unique=True))
+    lifted = [tuple(c + q * draw(st.integers(-2, 1)) for c, q in zip(u, moduli)) for u in chosen]
+    return SchreierGraphView(torus, GeneratorSet.from_vectors(lifted))
+
+
 class TestMatchings:
     def test_parity_examples(self):
         assert not has_perfect_matching(SchreierGraphView(Torus((3,)), S1))
@@ -151,21 +167,40 @@ class TestMatchings:
         assert not has_perfect_matching(SchreierGraphView(Torus((3, 3)), S2))
         assert has_perfect_matching(SchreierGraphView(Torus((4, 4)), S2))
 
-    def test_exhaustive_and_blossom_agree(self):
-        views = [
-            SchreierGraphView(Torus((3,)), S1),
-            SchreierGraphView(Torus((5,)), S1),
-            SchreierGraphView(Torus((7,)), GeneratorSet.from_vectors([(1,), (2,)])),
-            SchreierGraphView(Torus((3, 4)), S2),
-            SchreierGraphView(Torus((3, 3)), S2),
-        ]
-        for view in views:
-            assert maximum_matching_size(view) == maximum_matching_size_exhaustive(view)
+    @settings(max_examples=300, deadline=None)
+    @given(schreier_views(16))
+    def test_rule_and_exhaustive_agree(self, view):
+        perfect = 2 * maximum_matching_size_exhaustive(view) == view.domain.vertex_count()
+        assert has_perfect_matching(view) == perfect
 
-    def test_large_uses_blossom(self):
-        view = SchreierGraphView(Torus((5, 5)), S2)
-        assert maximum_matching_size(view) == 12
-        assert not has_perfect_matching(view)
+    @settings(max_examples=200, deadline=None)
+    @given(schreier_views(200))
+    def test_found_has_alternating_cycle_matching(self, view):
+        assume(has_perfect_matching(view))
+        matchings = [m for u in view.generators if (m := _alternate_along(view, u))]
+        assert matchings
+        partner = matchings[0]
+        # every vertex is covered exactly once, by a graph edge
+        assert sorted(partner) == vertices(view)
+        assert all(partner[partner[x]] == x for x in partner)
+        assert all(partner[x] in neighbors(view, x) for x in partner)
+
+
+def _alternate_along(view, u):
+    """Pair every other vertex of each u-cycle with the next, as a map
+    from each vertex to its partner; None when some u-cycle is odd."""
+    partner, seen = {}, set()
+    for start in vertices(view):
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = view.domain.add(x, u)
+        if len(cycle) % 2:
+            return None
+        partner.update(zip(cycle[::2], cycle[1::2]))
+        partner.update(zip(cycle[1::2], cycle[::2]))
+    return partner
 
 
 class TestChromaticIndex:

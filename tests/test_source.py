@@ -19,13 +19,13 @@ def test_no_assert_statements():
 
 
 def test_imports_stay_light():
-    """``src/`` imports only the standard library, networkx and itself.
+    """``src/`` imports only the standard library and itself.
 
     numpy is installed for the benchmark's checker only; importing it
     costs about 12 MiB of resident memory, more than the peak-RSS bound
     allows on the workloads that never need it.
     """
-    allowed = set(sys.stdlib_module_names) | {"networkx", "chromatile"}
+    allowed = set(sys.stdlib_module_names) | {"chromatile"}
     found = []
     for path in sorted(Path(chromatile.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
