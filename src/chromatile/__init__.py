@@ -18,7 +18,6 @@ from .errors import (
 )
 from .grid import (
     Box,
-    GridEdge,
     SchreierGraphView,
     Torus,
     adjacent_edges,
@@ -32,7 +31,6 @@ from .lattice import (
     decompose,
     decompose_with_constants,
     hermite_normal_form,
-    is_linearly_independent,
     load_generator_file,
     parse_generator_text,
     smallest_multiple_in,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidInputError
-from .grid import GridEdge, Vertex
+from .grid import Vertex
 from .lattice import Vector
 from .layered import LayeredResult
 from .rectcolor import EdgeColoring, palette
@@ -40,7 +40,7 @@ class ColoringDocument:
     n: int
     meta: dict[str, str]  # origin/sizes or moduli, mode, d, t, seed, offsets
     legend: list[str]
-    coloring: EdgeColoring  # GridEdge -> color name
+    coloring: EdgeColoring  # (base, axis) -> color name
 
     def __post_init__(self) -> None:
         if self.kind not in ("rect", "torus"):
@@ -210,14 +210,15 @@ def parse_coloring_document(text: str) -> ColoringDocument:
     if not set(legend) <= set(palette(n)):
         raise InvalidInputError(f"palette= names a color outside palette({n})")
     coloring = EdgeColoring()
+    colors = coloring._colors  # filled in place: one check, one store per record
     for base, axis_text, color, line in records(moduli):
         axis = _int(axis_text, line)
         if not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
-        edge = GridEdge(base, axis)
-        if edge in coloring:
-            raise InvalidInputError(f"edge {edge} appears twice")
-        coloring.write(edge, color)
+        key = (base, axis)
+        if key in colors:
+            raise InvalidInputError(f"the edge of record {line!r} appears twice")
+        colors[key] = color
     meta = {k: v for k, v in header.items() if k in _META_ORDER}
     return ColoringDocument(kind, n, meta, legend, coloring)
 
@@ -310,14 +311,15 @@ def parse_layered_document(text: str) -> LayeredDocument:
     generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
     steps = set(generators)
     coloring = EdgeColoring()
+    colors = coloring._colors  # filled in place: one check, one store per record
     for base, step_text, color, line in records(moduli):
         step = parse_vec(step_text)
         if step not in steps:
             raise InvalidInputError(f"record {line!r} steps by no listed generator")
         key = (base, step)
-        if key in coloring:
-            raise InvalidInputError(f"edge {key} appears twice")
-        coloring.write(key, color)
+        if key in colors:
+            raise InvalidInputError(f"the edge of record {line!r} appears twice")
+        colors[key] = color
     return LayeredDocument(
         n=n,
         moduli=moduli,

@@ -1,8 +1,9 @@
 """Boxes, grid edges, tori and Schreier graphs of Z^n actions.
 
 Axes are 1-based throughout, matching the color names c1..cn used by
-the rectangle colorers.  Boxes, edges, tori and graph views are
-immutable values.
+the rectangle colorers.  A grid edge is the plain key (base, axis): the
+undirected edge {base, base + e_axis}, so each edge has exactly one key.
+Boxes, edges, tori and graph views are immutable values.
 """
 
 from __future__ import annotations
@@ -17,21 +18,8 @@ from .lattice import GeneratorSet, Vector
 Vertex = tuple[int, ...]
 
 
-class GridEdge(NamedTuple):
-    """Canonical undirected grid edge {base, base + e_axis}.
-
-    An edge handed over as (x, x - e_i) is stored with base x - e_i, so
-    each undirected edge has exactly one representation.
-    """
-
-    base: Vertex
-    axis: int  # 1-based
-
-    def endpoints(self) -> tuple[Vertex, Vertex]:
-        other = tuple(
-            x + 1 if i == self.axis - 1 else x for i, x in enumerate(self.base)
-        )
-        return self.base, other
+# the grid edge {base, base + e_axis}, axis 1-based
+Edge = tuple[Vertex, int]
 
 
 def unit_vector(n: int, axis: int) -> Vector:
@@ -101,7 +89,7 @@ def _vertices(origin: Vertex, sizes: tuple[int, ...]) -> Iterator[Vertex]:
     return product(*[range(b, b + a + 1) for b, a in zip(origin, sizes)])
 
 
-def _edges_in(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[GridEdge]:
+def _edges_in(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
     edges = []
     for ax in axes:
         if sizes[ax - 1] < 1:
@@ -111,12 +99,12 @@ def _edges_in(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> li
             for i, (b, a) in enumerate(zip(origin, sizes))
         ]
         for base in product(*ranges):
-            edges.append(GridEdge(base, ax))
+            edges.append((base, ax))
     edges.sort()
     return edges
 
 
-def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[GridEdge]:
+def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
     edges = []
     for ax in axes:
         i = ax - 1
@@ -127,14 +115,14 @@ def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int])
         low = [(origin[i] - 1,) if j == i else r for j, r in enumerate(cross)]
         high = [(origin[i] + sizes[i],) if j == i else r for j, r in enumerate(cross)]
         for base in product(*low):
-            edges.append(GridEdge(base, ax))
+            edges.append((base, ax))
         for base in product(*high):
-            edges.append(GridEdge(base, ax))
+            edges.append((base, ax))
     edges.sort()
     return edges
 
 
-def edges_in(box: Box) -> list[GridEdge]:
+def edges_in(box: Box) -> list[Edge]:
     """All edges with both endpoints in the box, in deterministic order.
 
     The count is sum_i a_i * prod_{j != i} (a_j + 1).
@@ -142,7 +130,7 @@ def edges_in(box: Box) -> list[GridEdge]:
     return _edges_in(box.origin, box.sizes, range(1, box.n + 1))
 
 
-def adjacent_edges(box: Box) -> list[GridEdge]:
+def adjacent_edges(box: Box) -> list[Edge]:
     """Edges with exactly one endpoint in the box.
 
     These are precisely the edges outside the box that share a vertex

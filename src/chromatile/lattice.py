@@ -11,8 +11,8 @@ greedy decomposition into layers, where each layer is a maximal
 when for every s in S the cyclic group <s> meets <S \\ {s,-s}> only in
 the zero vector; for torsion-free Z^n this is equivalent to the lex
 positive representatives of the +/- pairs being linearly independent
-over Q, which is how :func:`is_linearly_independent` decides it (a
-rational dependence scales to an integer relation and conversely).
+over Q, which is how :func:`decompose` decides it (a rational
+dependence scales to an integer relation and conversely).
 """
 
 from __future__ import annotations
@@ -131,19 +131,6 @@ def lattice_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(hermite_normal_form(rows))
 
 
-def lattice_contains(v: Sequence[int], hnf_rows: Sequence[Vector]) -> bool:
-    """Membership of v in the lattice given by canonical HNF rows."""
-    w = list(v)
-    for row in hnf_rows:
-        c = _pivot_col(row)
-        if w[c]:
-            q, rem = divmod(w[c], row[c])
-            if rem:
-                return False
-            w = [a - q * b for a, b in zip(w, row)]
-    return not any(w)
-
-
 def rational_coordinates(
     v: Sequence[int], hnf_rows: Sequence[Vector]
 ) -> Optional[list[Fraction]]:
@@ -242,9 +229,6 @@ class SubgroupBasis:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Vector) -> bool:
-        return lattice_contains(v, self.basis)
-
     def is_full_integer_lattice(self) -> bool:
         if self.rank != self.dimension:
             return False
@@ -328,25 +312,6 @@ class GeneratorSet:
         return self.subgroup().is_full_integer_lattice()
 
 
-def is_linearly_independent(s: GeneratorSet | Iterable[Vector]) -> bool:
-    """The independence test used when layering a generating set.
-
-    Equivalent to: for every s in S, <s> meets <S minus the pair of s>
-    only at zero.  Each +/- pair must contribute one unit of rational
-    rank beyond the rest.
-    """
-    if isinstance(s, GeneratorSet):
-        reps = s.pairs()
-    else:
-        reps = sorted({canonical_rep(tuple(v)) for v in s})
-    if not reps:
-        return True
-    widths = {len(v) for v in reps}
-    if len(widths) != 1:
-        raise InvalidInputError("dimension mismatch among members")
-    return lattice_rank(reps) == len(reps)
-
-
 # ---------------------------------------------------------------------------
 # decomposition into layers and the derived constants
 # ---------------------------------------------------------------------------
@@ -386,9 +351,6 @@ class Decomposition:
     def layer_reps(self, i: int) -> list[Vector]:
         """Ordered basis of layer i (lex order, which is insertion order)."""
         return self.layers[i].pairs()
-
-    def layer_subgroup(self, i: int) -> SubgroupBasis:
-        return self.layers[i].subgroup()
 
 
 def decompose(s: GeneratorSet) -> Decomposition:

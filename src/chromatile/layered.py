@@ -71,7 +71,7 @@ class CosetModel:
     The chart map is affine, so one *orbit table* serves every orbit of
     the level: ``offsets[t]`` lists sum_j z_j * basis_j[t] mod q_t for
     every chart point z in row-major order, and ``orbit(rep)`` shifts
-    those lists by ``rep``.  ``to_ambient`` is the scalar reference.
+    those lists by ``rep``.
     """
 
     level: int
@@ -91,16 +91,9 @@ class CosetModel:
     def ambient_torus(self) -> Torus:
         return Torus(self.moduli)
 
-    def to_ambient(self, rep: Vertex, z: Vertex) -> Vertex:
-        v = list(rep)
-        for zj, b in zip(z, self.basis):
-            for t in range(len(v)):
-                v[t] += zj * b[t]
-        return tuple(x % q for x, q in zip(v, self.moduli))
-
     def orbit(self, rep: Vertex) -> list[Vertex]:
-        """The orbit of rep: to_ambient(rep, z) for every chart point z, in
-        row-major chart order."""
+        """The orbit of rep: rep + sum_j z_j * basis_j, reduced modulo the
+        torus, for every chart point z in row-major chart order."""
         return list(zip(*[
             [(x + r) % q for x in column]
             for column, r, q in zip(self.offsets, rep, self.moduli)

@@ -27,12 +27,11 @@ silently improper coloring.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
-    GridEdge,
     Vertex,
     _Scan,
     _adjacent_edges,
@@ -75,9 +74,6 @@ class EdgeColoring:
         elif prior != color:
             raise ColorConflictError(f"edge {edge}: {prior} vs {color}")
 
-    def __getitem__(self, edge):
-        return self._colors[edge]
-
     def get(self, edge, default=None):
         return self._colors.get(edge, default)
 
@@ -89,9 +85,6 @@ class EdgeColoring:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeColoring) and self._colors == other._colors
-
-    def edges(self):
-        return self._colors.keys()
 
     def items(self):
         return self._colors.items()
@@ -117,9 +110,8 @@ def _vertex_colors(coloring: EdgeColoring, v: Vertex, axes: Sequence[int]) -> se
     """Colors already present on edges at v along the given axes."""
     seen = set()
     for ax in axes:
-        up = GridEdge(v, ax)
-        down = GridEdge(tuple(x - 1 if i == ax - 1 else x for i, x in enumerate(v)), ax)
-        for e in (up, down):
+        down = tuple(x - 1 if i == ax - 1 else x for i, x in enumerate(v))
+        for e in ((v, ax), (down, ax)):
             c = coloring.get(e)
             if c is not None:
                 seen.add(c)
@@ -139,7 +131,7 @@ def _alternate_path(
     """Color ``count`` consecutive axis-parallel edges first, second, first, ..."""
     base = list(start)
     for step in range(count):
-        coloring.write(GridEdge(tuple(base), axis), first if step % 2 == 0 else second)
+        coloring.write((tuple(base), axis), first if step % 2 == 0 else second)
         base[axis - 1] += 1
 
 
@@ -160,9 +152,8 @@ def _peel(
     layer_sizes = tuple(0 if j == i else a for j, a in enumerate(sizes))
     layer = _bc1(origin, layer_sizes, rest)
     for h in range(sizes[i] + 1):
-        for edge, color in layer.items():
-            base = edge.base
-            coloring.write(GridEdge(base[:i] + (base[i] + h,) + base[i + 1:], edge.axis), color)
+        for (base, axis), color in layer.items():
+            coloring.write((base[:i] + (base[i] + h,) + base[i + 1:], axis), color)
 
     for e in _adjacent_edges(origin, sizes, (peel,)):
         coloring.write(e, C(peel))
@@ -259,25 +250,6 @@ def _require_cube_4k2(box: Box) -> int:
     if d % 4 != 2:
         raise InfeasibleError(f"cube side {d} is not congruent to 2 mod 4")
     return (d - 2) // 4
-
-
-def admissible_shifts(d: int, n: int) -> Iterator[Vector]:
-    """All even shift vectors usable with a side-d cube, 0 first."""
-    if d % 4 != 2:
-        raise InfeasibleError(f"side {d} is not congruent to 2 mod 4")
-    k = (d - 2) // 4
-    bound = max(2 * k - 2, 0)
-    values = list(range(-bound, bound + 1, 2))
-    values.sort(key=lambda v: (abs(v), v))
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[Vector]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for v in values:
-            yield from rec(prefix + (v,))
-
-    return rec(())
 
 
 def check_shift(box: Box, t: Vector) -> int:

@@ -51,8 +51,7 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         moduli = tuple(int(x) for x in doc.meta["moduli"].split(","))
 
     segments = []  # (x1, y1, x2, y2, color-name)
-    for edge, color in sorted(doc.coloring.items()):
-        base, axis = edge.base, edge.axis
+    for (base, axis), color in sorted(doc.coloring.items()):
         if slices and (axis in slices or any(base[ax - 1] != val for ax, val in slices.items())):
             continue
         x, y = base[h_ax - 1], base[v_ax - 1]

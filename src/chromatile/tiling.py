@@ -4,10 +4,10 @@ A tiling partitions the torus vertex set into boxes whose sides span d
 or d+1 vertices.  Since d is congruent to 2 mod 4, sides of d+1
 vertices have even length (exactly d) and sides of d vertices have odd
 length (d-1).  The global colorer gives every all-even region a core
-(or shifted-core) coloring and every region with an odd side the
-2n-color boundary coloring; edges crossing between regions pick up the
-direction color c_i from the boundary condition of both regions they
-touch, which is what makes the union proper.
+coloring and every region with an odd side the 2n-color boundary
+coloring; edges crossing between regions pick up the direction color
+c_i from the boundary condition of both regions they touch, which is
+what makes the union proper.
 
 On the shift action of Z^n such regions come from the orthogonal marker
 regions of Gao, Jackson, Krohne and Seward; on a finite torus
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .errors import InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
-    GridEdge,
+    Edge,
     Torus,
     Vertex,
     _box_index,
@@ -179,10 +179,6 @@ def validate_tiling(tiling: Tiling) -> TilingReport:
 # the global colorer
 # ---------------------------------------------------------------------------
 
-def torus_edge(edge: GridEdge, torus: Torus) -> GridEdge:
-    return GridEdge(torus.reduce(edge.base), edge.axis)
-
-
 def is_all_even(region: Box) -> bool:
     return all(a % 2 == 0 for a in region.sizes)
 
@@ -212,7 +208,7 @@ def local_edges(
     else:
         coloring = color_bc2(box, first_odd_axis(box))
     position = _frame_index([-1] * box.n, [a + 2 for a in sizes])
-    return [(position[edge.base], edge.axis, color) for edge, color in coloring.items()]
+    return [(position[base], axis, color) for (base, axis), color in coloring.items()]
 
 
 def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
@@ -220,42 +216,31 @@ def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
     return _box_index([b - 1 for b in region.origin], [a + 2 for a in region.sizes], moduli)
 
 
-def color_tiling(
-    tiling: Tiling,
-    mode: str = "plain",
-    shifts: Optional[dict[int, Vector]] = None,
-) -> EdgeColoring:
+def color_tiling(tiling: Tiling, mode: str = "plain") -> EdgeColoring:
     """Color every edge of the torus exactly once.
 
     Within-region edges come from the region's own coloring; crossing
     edges are written from both sides as the direction color via the
     boundary condition, so the conflict-detecting map doubles as a
-    correctness check.  In core / shifted mode the extra color n+1 stays
-    inside the (shifted) cores of all-even regions.
+    correctness check.  In core mode the extra color n+1 stays inside
+    the cores of all-even regions.
     """
     report = validate_tiling(tiling)
     if not report.ok:
         raise InvalidInputError("invalid tiling: " + "; ".join(report.problems))
-    for idx in shifts or {}:
-        if not 0 <= idx < len(tiling.regions):
-            raise InvalidInputError(f"shift for unknown region index {idx}")
-        if not is_all_even(tiling.regions[idx]):
-            raise InfeasibleError(
-                f"region {idx} has an odd side and cannot take a core shift"
-            )
-    if mode not in ("plain", "core", "shifted"):
+    if mode not in ("plain", "core"):
         raise InvalidInputError(f"unknown tiling mode {mode!r}")
-    if mode != "plain" and tiling.d % 4 != 2:
+    plain = mode == "plain"
+    if not plain and tiling.d % 4 != 2:
         raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
     torus = tiling.torus
     points = list(torus.vertices())
     out = EdgeColoring()
     write = out.write
-    for idx, region in enumerate(tiling.regions):
-        t = tuple((shifts or {}).get(idx, (0,) * region.n))
+    for region in tiling.regions:
         frame = region_frame(region, torus.moduli)
-        for i, axis, color in local_edges(region.sizes, mode == "plain", t):
-            write(GridEdge(points[frame[i]], axis), color)
+        for i, axis, color in local_edges(region.sizes, plain, (0,) * region.n):
+            write((points[frame[i]], axis), color)
     expected = torus.n * torus.vertex_count()
     if len(out) != expected:
         raise VerificationError(
@@ -264,38 +249,31 @@ def color_tiling(
     return out
 
 
-def allowed_core_edges(
-    tiling: Tiling, shifts: Optional[dict[int, Vector]] = None
-) -> set[GridEdge]:
-    """Torus edges on which the extra color may appear in core/shifted mode."""
-    allowed: set[GridEdge] = set()
-    for idx, region in enumerate(tiling.regions):
-        if not is_all_even(region):
-            continue
-        t = (shifts or {}).get(idx, (0,) * region.n)
-        core_box = region.shifted_core(t)
-        for e in edges_in(core_box):
-            allowed.add(torus_edge(e, tiling.torus))
-    return allowed
+def allowed_core_edges(tiling: Tiling) -> set[Edge]:
+    """Torus edges on which the extra color may appear in core mode."""
+    reduce = tiling.torus.reduce
+    return {
+        (reduce(base), axis)
+        for region in tiling.regions
+        if is_all_even(region)
+        for base, axis in edges_in(region.core())
+    }
 
 
 # ---------------------------------------------------------------------------
 # torus-wide verification
 # ---------------------------------------------------------------------------
 
-def verify_tiling_coloring(
-    coloring: EdgeColoring,
-    tiling: Tiling,
-    mode: str,
-    shifts: Optional[dict[int, Vector]] = None,
-) -> TilingReport:
+def verify_tiling_coloring(coloring: EdgeColoring, tiling: Tiling, mode: str) -> TilingReport:
     """Full certification in one pass: totality, properness, palette, confinement.
 
     Totality means exactly the n * |V| torus edges, keyed by their
     reduced base; the palette is the 2n+1 colors of ``palette(n)``.  In
-    core / shifted mode the extra color n+1 may only sit on edges of the
-    (shifted) cores the tiling and ``shifts`` give its all-even regions.
+    core mode the extra color n+1 may only sit on edges of the cores of
+    the tiling's all-even regions.
     """
+    if mode not in ("plain", "core"):
+        raise InvalidInputError(f"unknown tiling mode {mode!r}")
     torus = tiling.torus
     n = torus.n
     colors = palette(n)
@@ -303,7 +281,7 @@ def verify_tiling_coloring(
     index, classes = _torus_frame(
         torus.moduli, {ax: (unit_vector(n, ax), everywhere) for ax in range(1, n + 1)}
     )
-    core_mode = mode in ("core", "shifted")
+    core_mode = mode == "core"
     scan = _scan_coloring(
         coloring.items(),
         index,
@@ -314,7 +292,7 @@ def verify_tiling_coloring(
     )
     problems = _scan_problems(scan, n * torus.vertex_count(), index, colors)
     if core_mode:
-        allowed = allowed_core_edges(tiling, shifts)
+        allowed = allowed_core_edges(tiling)
         escaped = [e for e in scan.watched if e not in allowed]
         if escaped:
             problems.append(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chromatile.grid import Box, GridEdge
+from chromatile.grid import Box
 from chromatile.rectcolor import C, EdgeColoring, P
 
 
@@ -31,7 +31,7 @@ def reference_2x2_coloring():
     }
     coloring = EdgeColoring()
     for base, color in horizontal.items():
-        coloring.write(GridEdge(base, 1), color)
+        coloring.write((base, 1), color)
     for base, color in vertical.items():
-        coloring.write(GridEdge(base, 2), color)
+        coloring.write((base, 2), color)
     return coloring

@@ -2,9 +2,15 @@
 
 Each one reads a definition literally and makes no claim to speed:
 
-* ``verify_proper``: properness of any set of grid-edge keys, the
-  generic form of what the one-pass verifiers check on their own edge
-  sets;
+* ``endpoints`` and ``verify_proper``: the two vertices of a (base,
+  axis) grid edge, and properness of any set of such keys, the generic
+  form of what the one-pass verifiers check on their own edge sets;
+* ``lattice_contains`` and ``is_linearly_independent``: membership in
+  a lattice given by HNF rows, and the independence test that
+  ``decompose`` applies pair by pair;
+* ``to_ambient``: one chart point of a level mapped onto the torus, the
+  scalar form of ``CosetModel.orbit``;
+* ``admissible_shifts``: every even core shift a side-d cube admits;
 * ``SftPattern``, ``matching_patterns`` and ``respects``: forbidden
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
@@ -19,27 +25,101 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from chromatile.document import ColoringDocument
 from chromatile.errors import InfeasibleError, InvalidInputError
-from chromatile.grid import SchreierGraphView, Vertex
-from chromatile.lattice import GeneratorSet, Vector, vneg
+from chromatile.grid import Edge, SchreierGraphView, Vertex
+from chromatile.lattice import (
+    GeneratorSet,
+    Vector,
+    _pivot_col,
+    canonical_rep,
+    lattice_rank,
+    vneg,
+)
+from chromatile.layered import CosetModel
 from chromatile.lowerbound import TorusLabeling
 from chromatile.rectcolor import EdgeColoring
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
+
+
+def endpoints(edge: Edge) -> tuple[Vertex, Vertex]:
+    """The vertices base and base + e_axis of the edge (base, axis)."""
+    base, axis = edge
+    return base, tuple(x + 1 if i == axis - 1 else x for i, x in enumerate(base))
 
 
 def verify_proper(coloring: EdgeColoring) -> bool:
     """No two colored edges sharing a vertex carry the same color."""
     at_vertex: dict[Vertex, set] = {}
     for edge, color in coloring.items():
-        for v in edge.endpoints():
+        for v in endpoints(edge):
             bucket = at_vertex.setdefault(v, set())
             if color in bucket:
                 return False
             bucket.add(color)
     return True
+
+
+def lattice_contains(v: Sequence[int], hnf_rows: Sequence[Vector]) -> bool:
+    """Membership of v in the lattice given by canonical HNF rows."""
+    w = list(v)
+    for row in hnf_rows:
+        c = _pivot_col(row)
+        if w[c]:
+            q, rem = divmod(w[c], row[c])
+            if rem:
+                return False
+            w = [a - q * b for a, b in zip(w, row)]
+    return not any(w)
+
+
+def is_linearly_independent(s: GeneratorSet | Iterable[Vector]) -> bool:
+    """The independence test used when layering a generating set.
+
+    Equivalent to: for every s in S, <s> meets <S minus the pair of s>
+    only at zero.  Each +/- pair must contribute one unit of rational
+    rank beyond the rest.
+    """
+    if isinstance(s, GeneratorSet):
+        reps = s.pairs()
+    else:
+        reps = sorted({canonical_rep(tuple(v)) for v in s})
+    if not reps:
+        return True
+    widths = {len(v) for v in reps}
+    if len(widths) != 1:
+        raise InvalidInputError("dimension mismatch among members")
+    return lattice_rank(reps) == len(reps)
+
+
+def to_ambient(model: CosetModel, rep: Vertex, z: Vertex) -> Vertex:
+    """rep + sum_j z_j * basis_j, reduced modulo the ambient torus."""
+    v = list(rep)
+    for zj, b in zip(z, model.basis):
+        for t in range(len(v)):
+            v[t] += zj * b[t]
+    return tuple(x % q for x, q in zip(v, model.moduli))
+
+
+def admissible_shifts(d: int, n: int) -> Iterator[Vector]:
+    """All even shift vectors usable with a side-d cube, 0 first."""
+    if d % 4 != 2:
+        raise InfeasibleError(f"side {d} is not congruent to 2 mod 4")
+    k = (d - 2) // 4
+    bound = max(2 * k - 2, 0)
+    values = list(range(-bound, bound + 1, 2))
+    values.sort(key=lambda v: (abs(v), v))
+
+    def rec(prefix: tuple[int, ...]) -> Iterator[Vector]:
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in values:
+            yield from rec(prefix + (v,))
+
+    return rec(())
 
 
 @dataclass(frozen=True)
@@ -155,8 +235,7 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         moduli = tuple(int(x) for x in doc.meta["moduli"].split(","))
 
     segments = []  # (x1, y1, x2, y2, color-name)
-    for edge, color in sorted(doc.coloring.items()):
-        base, axis = edge.base, edge.axis
+    for (base, axis), color in sorted(doc.coloring.items()):
         if any(base[ax - 1] != val for ax, val in slices.items()):
             continue
         if axis in slices:

@@ -18,7 +18,7 @@ from chromatile.document import (
     serialize_layered,
 )
 from chromatile.errors import InvalidInputError
-from chromatile.grid import Box, GridEdge, Torus
+from chromatile.grid import Box, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
 from chromatile.lowerbound import TorusLabeling
@@ -79,6 +79,35 @@ class TestColoringDocuments:
             parse_coloring_document(duplicated)
         with pytest.raises(InvalidInputError):
             parse_coloring_document("format=wrong\n")
+
+    @pytest.mark.parametrize("recolor", [False, True], ids=["same-color", "other-color"])
+    @pytest.mark.parametrize("kind", ["rect", "torus", "layered"])
+    def test_duplicate_record(self, kind, recolor):
+        # the second record is overwritten with the first one's edge, so
+        # edges= still matches and the duplicate check is what fails
+        if kind == "layered":
+            s = GeneratorSet.from_vectors([(1,), (2,)])
+            text = serialize_layered(document_for_layered(run_pipeline(s, (37,), 6).result))
+            parse = parse_layered_document
+        else:
+            if kind == "rect":
+                box = Box((0, 0), (2, 2))
+                doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
+            else:
+                coloring = color_tiling(brick_tiling(Torus((13, 13)), 6))
+                doc = document_for_torus((13, 13), 6, "plain", coloring)
+            text = serialize_coloring(doc)
+            parse = parse_coloring_document
+        lines = text.splitlines()
+        first = next(i for i, ln in enumerate(lines) if ";" in ln and "=" not in ln)
+        edge, color = lines[first].rsplit(" ; ", 1)
+        if recolor:
+            legend = next(ln for ln in lines if ln.startswith("palette="))
+            color = next(c for c in legend[len("palette="):].split(",") if c != color)
+        lines[first + 1] = f"{edge} ; {color}"
+        with pytest.raises(InvalidInputError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"the edge of record {lines[first + 1]!r} appears twice"
 
     @pytest.mark.parametrize(
         "kind,old,new",
@@ -163,7 +192,7 @@ def render_cases(draw):
                 "mode": "bc1"}
         ranges = [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)]
         kind = "rect"
-    edges = [GridEdge(base, ax) for base in product(*ranges) for ax in range(1, n + 1)]
+    edges = [(base, ax) for base in product(*ranges) for ax in range(1, n + 1)]
     chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=len(edges), unique=True))
     coloring = EdgeColoring({e: draw(st.sampled_from(legend)) for e in chosen})
     doc = ColoringDocument(kind, n, meta, legend, coloring)

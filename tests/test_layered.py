@@ -16,6 +16,7 @@ from chromatile.layered import (
     verify_layered,
 )
 from chromatile.tiling import brick_tiling, color_tiling
+from reference import to_ambient
 
 S_ONE_TWO = GeneratorSet.from_vectors([(1,), (2,)])
 S_DIAG = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)])
@@ -76,13 +77,13 @@ class TestBuildModel:
         ids=["one-two-13", "diag-13x13", "cube-19x19x19"],
     )
     def test_orbit_table_matches_chart_map(self, s, moduli):
-        # the table lists to_ambient(rep, z) for every chart point z, in
+        # the table lists the chart map's image of every chart point z, in
         # row-major order
         dec = decompose_with_constants(s)
         for model in build_model(s, dec, moduli, d_override=6):
             chart = list(product(*[range(r) for r in model.chart_moduli]))
             for rep in model.reps:
-                assert model.orbit(rep) == [model.to_ambient(rep, z) for z in chart]
+                assert model.orbit(rep) == [to_ambient(model, rep, z) for z in chart]
 
 
 class TestRunLayered:
@@ -135,9 +136,8 @@ class TestRunLayered:
         tiling = brick_tiling(Torus((13, 13)), 6)
         direct = color_tiling(tiling, mode="core")
         expected = {}
-        for edge, color in direct.items():
-            z = edge.base
-            step = (0, 1) if edge.axis == 1 else (1, 0)
+        for (z, axis), color in direct.items():
+            step = (0, 1) if axis == 1 else (1, 0)
             expected[((z[1], z[0]), step)] = level_color_name(color, 0, 2)
         assert dict(run.result.coloring.items()) == expected
 
@@ -231,11 +231,11 @@ class TestLayeredLocality:
                     a = res.shifts.get((model.level, rep, idx))
                     t = None if a is None else tuple(a * c for c in coeffs)
                     local = {}
-                    for e in edges_in(region) + adjacent_edges(region):
-                        key = (model.to_ambient(rep, chart.reduce(e.base)),
-                               model.basis[e.axis - 1])
-                        rel = tuple(b - o for b, o in zip(e.base, region.origin))
-                        local[(rel, e.axis)] = res.coloring[key].split("@")[0]
+                    for base, axis in edges_in(region) + adjacent_edges(region):
+                        key = (to_ambient(model, rep, chart.reduce(base)),
+                               model.basis[axis - 1])
+                        rel = tuple(b - o for b, o in zip(base, region.origin))
+                        local[(rel, axis)] = res.coloring.get(key).split("@")[0]
                     place = {"level": model.level, "orbit": rep}[across]
                     groups.setdefault((model.chart_dim, region.sizes, t), []).append(
                         (place, local)
@@ -250,7 +250,7 @@ def reference_layered_problems(result, s, moduli):
     torus = Torus(tuple(moduli))
     coloring = result.coloring
     expected = {(x, u) for x in torus.vertices() for u in s.pairs()}
-    if set(coloring.edges()) != expected:
+    if set(dict(coloring.items())) != expected:
         return ["totality"]
     level_of = {b: m.level for m in result.models for b in m.basis}
     for (base, step), color in coloring.items():

@@ -2,6 +2,8 @@
 
 import ast
 import copy
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -74,3 +76,27 @@ def test_no_module_state_survives_a_call(tmp_path, capsys):
     assert main(["render", "--in", str(tmp_path / "torus.txt"),
                  "--out", str(tmp_path / "torus.svg")]) == 0
     assert _module_state() == before
+
+
+def test_benchmark_spans_resolve():
+    """The benchmark's tracer wraps functions at the names their callers
+    look up, and a name it cannot find reads 0 without failing the run.
+
+    The four names listed here no longer exist; any other name that stops
+    resolving, say because a function moved, fails here instead.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = {
+        f"{module}.{attr}"
+        for module, attr, _, _ in spans.WRAPS
+        if not hasattr(importlib.import_module(module), attr)
+    }
+    assert missing == {
+        "chromatile.cli.verify_proper",
+        "chromatile.layered.color_bc2",
+        "chromatile.layered.color_shifted_core",
+        "chromatile.tiling.color_core",
+    }
