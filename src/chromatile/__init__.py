@@ -52,7 +52,6 @@ from .lowerbound import (
 )
 from .rectcolor import (
     C,
-    EdgeColoring,
     P,
     color_bc1,
     color_bc2,

@@ -130,7 +130,7 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
     doc = document_for_rect(box.origin, box.sizes, args.mode, coloring, t)
     _write_out(args.out, serialize_coloring(doc))
     print(
-        f"ok: {len(coloring)} edges, {len(coloring.colors_used())} colors",
+        f"ok: {len(coloring)} edges, {len(set(coloring.values()))} colors",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -151,7 +151,7 @@ def cmd_color_torus(args: argparse.Namespace) -> int:
     _write_out(args.out, serialize_coloring(doc))
     print(
         f"ok: {len(tiling.regions)} regions, {len(coloring)} edges, "
-        f"{len(coloring.colors_used())} colors",
+        f"{len(set(coloring.values()))} colors",
         file=sys.stderr,
     )
     return EXIT_OK

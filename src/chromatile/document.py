@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidInputError
-from .grid import Vertex
+from .grid import Edge, Vertex
 from .lattice import Vector
 from .layered import LayeredResult
-from .rectcolor import EdgeColoring, palette
+from .rectcolor import palette
 
 COLORING_FORMAT = "chromatile/coloring/v1"
 LAYERED_FORMAT = "chromatile/layered/v1"
@@ -40,7 +40,7 @@ class ColoringDocument:
     n: int
     meta: dict[str, str]  # origin/sizes or moduli, mode, d, t, seed, offsets
     legend: list[str]
-    coloring: EdgeColoring  # (base, axis) -> color name
+    coloring: dict[Edge, str]  # (base, axis) -> color name
 
     def __post_init__(self) -> None:
         if self.kind not in ("rect", "torus"):
@@ -51,7 +51,7 @@ def document_for_rect(
     box_origin: Vector,
     sizes: Vector,
     mode: str,
-    coloring: EdgeColoring,
+    coloring: dict[Edge, str],
     t: Optional[Vector] = None,
 ) -> ColoringDocument:
     n = len(sizes)
@@ -65,7 +65,7 @@ def document_for_torus(
     moduli: Vector,
     d: int,
     mode: str,
-    coloring: EdgeColoring,
+    coloring: dict[Edge, str],
     seed: Optional[int] = None,
     offsets: Optional[Vector] = None,
 ) -> ColoringDocument:
@@ -209,16 +209,15 @@ def parse_coloring_document(text: str) -> ColoringDocument:
         raise InvalidInputError(f"moduli= does not fit dimension {n}")
     if not set(legend) <= set(palette(n)):
         raise InvalidInputError(f"palette= names a color outside palette({n})")
-    coloring = EdgeColoring()
-    colors = coloring._colors  # filled in place: one check, one store per record
+    coloring: dict[Edge, str] = {}
     for base, axis_text, color, line in records(moduli):
         axis = _int(axis_text, line)
         if not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
         key = (base, axis)
-        if key in colors:
+        if key in coloring:
             raise InvalidInputError(f"the edge of record {line!r} appears twice")
-        colors[key] = color
+        coloring[key] = color
     meta = {k: v for k, v in header.items() if k in _META_ORDER}
     return ColoringDocument(kind, n, meta, legend, coloring)
 
@@ -240,7 +239,7 @@ class LayeredDocument:
     k_sets: list[list[Vertex]]
     shifts: list[tuple[int, Vertex, int, int]]  # level, rep, region, a
     legend: list[str]
-    coloring: EdgeColoring  # (base, step) -> color name
+    coloring: dict[tuple[Vertex, Vector], str]  # (base, step) -> color name
 
 
 def document_for_layered(result: LayeredResult) -> LayeredDocument:
@@ -251,7 +250,7 @@ def document_for_layered(result: LayeredResult) -> LayeredDocument:
     shifts = sorted(
         (lvl, rep, idx, a) for (lvl, rep, idx), a in result.shifts.items()
     )
-    legend = sorted(result.coloring.colors_used())
+    legend = sorted(set(result.coloring.values()))
     return LayeredDocument(
         n=len(result.moduli),
         moduli=result.moduli,
@@ -310,16 +309,15 @@ def parse_layered_document(text: str) -> LayeredDocument:
         shifts.append((_int(level, ln), parse_vec(rep), _int(idx, ln), _int(a, ln)))
     generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
     steps = set(generators)
-    coloring = EdgeColoring()
-    colors = coloring._colors  # filled in place: one check, one store per record
+    coloring: dict[tuple[Vertex, Vector], str] = {}
     for base, step_text, color, line in records(moduli):
         step = parse_vec(step_text)
         if step not in steps:
             raise InvalidInputError(f"record {line!r} steps by no listed generator")
         key = (base, step)
-        if key in colors:
+        if key in coloring:
             raise InvalidInputError(f"the edge of record {line!r} appears twice")
-        colors[key] = color
+        coloring[key] = color
     return LayeredDocument(
         n=n,
         moduli=moduli,

@@ -13,17 +13,18 @@ class InvalidInputError(ChromatileError):
     """Malformed or inconsistent user input (files, vectors, flags)."""
 
 
-class ColorConflictError(ChromatileError):
+class VerificationError(ChromatileError):
+    """A produced coloring failed one of its verifiers."""
+
+
+class ColorConflictError(VerificationError):
     """An edge was written twice with different colors.
 
     Conflicting writes always indicate a bug in a coloring algorithm,
     never bad user input; constructions are designed so that every
-    double write carries the same color.
+    double write carries the same color.  So the CLI reports a conflict
+    as a verification failure.
     """
-
-
-class VerificationError(ChromatileError):
-    """A produced coloring failed one of its verifiers."""
 
 
 class InfeasibleError(ChromatileError):

@@ -46,7 +46,7 @@ from .lattice import (
     integer_kernel,
     vscale,
 )
-from .rectcolor import EdgeColoring, P, palette
+from .rectcolor import P, _store, palette
 from .tiling import (
     Tiling,
     brick_tiling,
@@ -235,7 +235,7 @@ def level_palette(level: int, chart_dim: int) -> list[str]:
 
 @dataclass(frozen=True)
 class LayeredResult:
-    coloring: EdgeColoring  # keys: (ambient vertex, canonical step)
+    coloring: dict[tuple[Vertex, Vector], str]  # (ambient vertex, step) -> color
     k_sets: tuple[frozenset[Vertex], ...]
     shifts: dict[tuple[int, Vertex, int], int]  # (level, orbit rep, region) -> a
     models: tuple[CosetModel, ...]
@@ -256,18 +256,20 @@ def run_layered(
     Every all-even chart region is colored through a shifted core, with
     the shift factor a chosen as the least value in [0, alpha] whose
     translated core avoids all higher levels' core sets; regions with an
-    odd side take the 2n_i-coloring and contribute no core.  All writes
-    go through conflict detection, so each level provably extends the
-    ones above it.
+    odd side take the 2n_i-coloring and contribute no core.  The
+    coloring is a plain dict keyed (ambient vertex, canonical step).
+    Every write goes through ``rectcolor._store``, so an edge that two
+    regions share must get the same color from both, or the run raises
+    ColorConflictError.
 
     A region's placed edges depend on its index and shift factor alone,
     so they are computed once per level and reused for every orbit of
     it.  They are kept as the region's ``tiling.local_edges`` with level
     steps and colors, and its ``tiling.region_frame``, which sends a
-    frame position to a chart row-major index.  Orbit rep writes the edge at chart index i to
-    ``orbit(rep)[i]``, so no edge goes through the chart map one by one.
-    The shift search and the chart/ambient agreement check stay per
-    orbit.
+    frame position to a chart row-major index.  Orbit rep writes the
+    edge at chart index i to ``orbit(rep)[i]``, so no edge goes through
+    the chart map one by one.  The shift search and the chart/ambient
+    agreement check stay per orbit.
     """
     if dec.alpha is None or dec.a_coeffs is None:
         raise InvalidInputError("decomposition constants not computed")
@@ -285,8 +287,7 @@ def run_layered(
     shift_bound = max(2 * k - 2, 0)
     beta_s = vscale(dec.beta, dec.s)
 
-    coloring = EdgeColoring()
-    write = coloring.write
+    coloring: dict[tuple[Vertex, Vector], str] = {}
     k_sets: list[set[Vertex]] = [set() for _ in models]
     shifts: dict[tuple[int, Vertex, int], int] = {}
     busy: set[Vertex] = set()
@@ -363,7 +364,7 @@ def run_layered(
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
                 for i, step, name in local:
-                    write((points[frame[i]], step), name)
+                    _store(coloring, (points[frame[i]], step), name)
         busy |= k_sets[level]
 
     return LayeredResult(

@@ -19,19 +19,22 @@ coordinate is the box origin plus an offset that depends only on the
 sizes (and shift), so boxes of one size get the same coloring up to
 translation, which is what makes tiling-based colorings local.
 
-Everything is written through a conflict-detecting map, so any internal
-disagreement between construction stages raises instead of producing a
-silently improper coloring.
+A coloring is a plain dict ``{(base, axis): color}``.  Builders fill the
+dict they are given, and every write goes through ``_store``, which
+raises ColorConflictError when an edge already holds another color, so
+any internal disagreement between construction stages raises instead of
+producing a silently improper coloring.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
+    Edge,
     Vertex,
     _Scan,
     _adjacent_edges,
@@ -59,54 +62,23 @@ def palette(n: int) -> list[str]:
     return [C(i) for i in range(1, n + 1)] + [P(j) for j in range(1, n + 2)]
 
 
-class EdgeColoring:
-    """A partial map from edges to colors with conflict-detecting writes."""
-
-    __slots__ = ("_colors",)
-
-    def __init__(self, initial: Optional[dict] = None) -> None:
-        self._colors: dict = dict(initial) if initial else {}
-
-    def write(self, edge, color) -> None:
-        prior = self._colors.get(edge)
-        if prior is None:
-            self._colors[edge] = color
-        elif prior != color:
-            raise ColorConflictError(f"edge {edge}: {prior} vs {color}")
-
-    def get(self, edge, default=None):
-        return self._colors.get(edge, default)
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._colors
-
-    def __len__(self) -> int:
-        return len(self._colors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeColoring) and self._colors == other._colors
-
-    def items(self):
-        return self._colors.items()
-
-    def colors_used(self) -> set:
-        return set(self._colors.values())
-
-    def update(self, other: "EdgeColoring") -> None:
-        for edge, color in other.items():
-            self.write(edge, color)
+def _store(colors: dict, edge, color: str) -> None:
+    """Write an edge's color; a second write of the edge must agree."""
+    prior = colors.setdefault(edge, color)
+    if prior != color:
+        raise ColorConflictError(f"edge {edge}: {prior} vs {color}")
 
 
 # ---------------------------------------------------------------------------
 # construction internals
 #
+# Every builder writes into the dict it is given, through ``_store``.
 # The recursion peels one axis at a time, so intermediate "layers" are
 # boxes with extent 0 along the peeled axes.  ``axes`` always lists the
-# still-active axes (1-based, ascending except where an axis order says
-# otherwise).
+# still-active axes (1-based, in the order ``_bc1`` was given).
 # ---------------------------------------------------------------------------
 
-def _vertex_colors(coloring: EdgeColoring, v: Vertex, axes: Sequence[int]) -> set:
+def _vertex_colors(coloring: dict[Edge, str], v: Vertex, axes: Sequence[int]) -> set:
     """Colors already present on edges at v along the given axes."""
     seen = set()
     for ax in axes:
@@ -126,18 +98,23 @@ def _pick_free(candidates: Sequence[str], taken: set) -> str:
 
 
 def _alternate_path(
-    coloring: EdgeColoring, start: Vertex, axis: int, count: int, first: str, second: str
+    out: dict[Edge, str], start: Vertex, axis: int, count: int, first: str, second: str
 ) -> None:
     """Color ``count`` consecutive axis-parallel edges first, second, first, ..."""
     base = list(start)
     for step in range(count):
-        coloring.write((tuple(base), axis), first if step % 2 == 0 else second)
+        _store(out, (tuple(base), axis), first if step % 2 == 0 else second)
         base[axis - 1] += 1
 
 
 def _peel(
-    origin: Vertex, sizes: tuple[int, ...], rest: tuple[int, ...], peel: int, second: str
-) -> EdgeColoring:
+    out: dict[Edge, str],
+    origin: Vertex,
+    sizes: tuple[int, ...],
+    rest: tuple[int, ...],
+    peel: int,
+    second: str,
+) -> None:
     """The inductive step: color a layer, copy it along ``peel``, close the paths.
 
     The layer (extent 0 along ``peel``) is colored over the ``rest`` axes
@@ -148,15 +125,15 @@ def _peel(
     odd (an odd path starts and ends with the free color).
     """
     i = peel - 1
-    coloring = EdgeColoring()
     layer_sizes = tuple(0 if j == i else a for j, a in enumerate(sizes))
-    layer = _bc1(origin, layer_sizes, rest)
+    layer: dict[Edge, str] = {}
+    _bc1(layer, origin, layer_sizes, rest)
     for h in range(sizes[i] + 1):
         for (base, axis), color in layer.items():
-            coloring.write((base[:i] + (base[i] + h,) + base[i + 1:], axis), color)
+            _store(out, (base[:i] + (base[i] + h,) + base[i + 1:], axis), color)
 
     for e in _adjacent_edges(origin, sizes, (peel,)):
-        coloring.write(e, C(peel))
+        _store(out, e, C(peel))
 
     candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, len(rest) + 2)]
     for pos in _vertices(origin, layer_sizes):
@@ -164,72 +141,71 @@ def _peel(
         if len(taken) != 2 * len(rest):
             raise VerificationError("layer vertex is missing incident colors")
         free = _pick_free(candidates, taken)
-        _alternate_path(coloring, pos, peel, sizes[i], free, second)
-    return coloring
+        _alternate_path(out, pos, peel, sizes[i], free, second)
 
 
-def _bc1(origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]) -> EdgeColoring:
+def _bc1(
+    out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
+) -> None:
     """Boundary-condition coloring over the active axes with 2*dim+1 colors.
 
     dim = len(axes).  Colors used: c_ax for active axes plus plain
     colors 1..dim+1.  Peels the last axis; no axes give no edges.
     """
-    if not axes:
-        return EdgeColoring()
-    return _peel(origin, sizes, axes[:-1], axes[-1], P(len(axes) + 1))
+    if axes:
+        _peel(out, origin, sizes, axes[:-1], axes[-1], P(len(axes) + 1))
 
 
-def _bc2(origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> EdgeColoring:
+def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
     """Boundary-condition coloring with 2n colors; needs an odd side."""
     if sizes[odd_axis - 1] % 2 == 0:
         raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
     rest = tuple(ax for ax in range(1, len(sizes) + 1) if ax != odd_axis)
-    return _peel(origin, sizes, rest, odd_axis, C(odd_axis))
+    _peel(out, origin, sizes, rest, odd_axis, C(odd_axis))
 
 
-def _shifted_core(box: Box, t: Vector) -> EdgeColoring:
-    """Core construction on the box; assumes validated arguments."""
+def _shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
+    """Core construction on the box; assumes validated arguments.
+
+    The 2n slabs and the final 2-cube are written into one dict; the
+    edges where two of them meet are written by both.
+    """
     n = box.n
     k = (box.sizes[0] - 2) // 4
-    if k == 0:
-        return _bc1(box.origin, box.sizes, tuple(range(1, n + 1)))
-
-    coloring = EdgeColoring()
+    out: dict[Edge, str] = {}
     origin = list(box.origin)
     current = list(box.sizes)
-    for stage_ax in range(1, n + 1):
+    stages = range(1, n + 1) if k else ()  # for d = 2 the core is the whole cube
+    for stage_ax in stages:
         i = stage_ax - 1
         low_extent = 2 * k - 1 + t[i]
         high_extent = 2 * k - 1 - t[i]
-        low_origin = tuple(origin)
         low_sizes = tuple(low_extent if j == i else a for j, a in enumerate(current))
         high_origin = tuple(
             origin[j] + (low_extent + 4 if j == i else 0) for j in range(n)
         )
         high_sizes = tuple(high_extent if j == i else a for j, a in enumerate(current))
-        coloring.update(_bc2(low_origin, low_sizes, stage_ax))
-        coloring.update(_bc2(high_origin, high_sizes, stage_ax))
+        _bc2(out, tuple(origin), low_sizes, stage_ax)
+        _bc2(out, high_origin, high_sizes, stage_ax)
         origin[i] += low_extent + 1
         current[i] = 2
-    coloring.update(_bc1(tuple(origin), tuple(current), tuple(range(1, n + 1))))
-    return coloring
+    _bc1(out, tuple(origin), tuple(current), tuple(range(1, n + 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public constructions
 # ---------------------------------------------------------------------------
 
-def color_bc1(box: Box, axis_order: Optional[Sequence[int]] = None) -> EdgeColoring:
+def color_bc1(box: Box) -> dict[Edge, str]:
     """Proper (2n+1)-coloring of the box and its adjacent edges with the
-    boundary condition.  ``axis_order`` controls which axis each level of
-    the construction peels; the default is 1..n."""
-    order = tuple(axis_order) if axis_order is not None else tuple(range(1, box.n + 1))
-    if sorted(order) != list(range(1, box.n + 1)):
-        raise InvalidInputError(f"axis_order {order} is not a permutation of 1..{box.n}")
-    return _bc1(box.origin, box.sizes, order)
+    boundary condition."""
+    out: dict[Edge, str] = {}
+    _bc1(out, box.origin, box.sizes, tuple(range(1, box.n + 1)))
+    return out
 
 
-def color_bc2(box: Box, odd_axis: int) -> EdgeColoring:
+def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
     """Proper 2n-coloring with the boundary condition; color n+1 unused.
 
     Requires the side along ``odd_axis`` to be odd.
@@ -240,7 +216,9 @@ def color_bc2(box: Box, odd_axis: int) -> EdgeColoring:
         raise InfeasibleError(
             f"side {box.sizes[odd_axis - 1]} along axis {odd_axis} is not odd"
         )
-    return _bc2(box.origin, box.sizes, odd_axis)
+    out: dict[Edge, str] = {}
+    _bc2(out, box.origin, box.sizes, odd_axis)
+    return out
 
 
 def _require_cube_4k2(box: Box) -> int:
@@ -266,7 +244,7 @@ def check_shift(box: Box, t: Vector) -> int:
     return k
 
 
-def color_core(box: Box) -> EdgeColoring:
+def color_core(box: Box) -> dict[Edge, str]:
     """Boundary + core condition coloring of a cube of side d = 4k+2.
 
     The construction runs one stage per axis: stage i splits the
@@ -280,7 +258,7 @@ def color_core(box: Box) -> EdgeColoring:
     return color_shifted_core(box, (0,) * box.n)
 
 
-def color_shifted_core(box: Box, t: Vector) -> EdgeColoring:
+def color_shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
     """Boundary + t-shifted-core condition coloring of a side-d cube.
 
     Stage i uses slab extents 2k-1+t_i and 2k-1-t_i (both odd since t_i
@@ -312,7 +290,7 @@ def _box_edge_count(sizes: Sequence[int]) -> int:
 
 
 def _scan_box(
-    coloring: EdgeColoring, box: Box, watch: int = -1
+    coloring: dict[Edge, str], box: Box, watch: int = -1
 ) -> tuple[_Scan, dict[Vertex, int]]:
     """One pass over a box coloring, and the frame index it used.
 
@@ -354,7 +332,7 @@ def _boundary_holds(scan: _Scan, index: dict[Vertex, int], box: Box) -> bool:
     return True
 
 
-def verify_boundary_condition(coloring: EdgeColoring, box: Box) -> bool:
+def verify_boundary_condition(coloring: dict[Edge, str], box: Box) -> bool:
     """Proper on box + adjacent edges; adjacent edges parallel to e_i are c_i.
 
     One pass over the coloring.  Keys that are not edges of the box or
@@ -365,7 +343,7 @@ def verify_boundary_condition(coloring: EdgeColoring, box: Box) -> bool:
     return _boundary_holds(scan, index, box)
 
 
-def verify_shifted_core(coloring: EdgeColoring, box: Box, t: Vector) -> bool:
+def verify_shifted_core(coloring: dict[Edge, str], box: Box, t: Vector) -> bool:
     """The boundary condition plus: color n+1 only on t-shifted-core edges.
 
     Raises when the box has an odd side (no core exists).

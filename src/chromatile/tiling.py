@@ -37,7 +37,7 @@ from .grid import (
 )
 from .lattice import Vector
 from .rectcolor import (
-    EdgeColoring,
+    _store,
     color_bc1,
     color_bc2,
     color_shifted_core,
@@ -216,14 +216,14 @@ def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
     return _box_index([b - 1 for b in region.origin], [a + 2 for a in region.sizes], moduli)
 
 
-def color_tiling(tiling: Tiling, mode: str = "plain") -> EdgeColoring:
+def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
     """Color every edge of the torus exactly once.
 
     Within-region edges come from the region's own coloring; crossing
     edges are written from both sides as the direction color via the
-    boundary condition, so the conflict-detecting map doubles as a
-    correctness check.  In core mode the extra color n+1 stays inside
-    the cores of all-even regions.
+    boundary condition, so the conflict check of ``rectcolor._store``
+    doubles as a correctness check.  In core mode the extra color n+1
+    stays inside the cores of all-even regions.
     """
     report = validate_tiling(tiling)
     if not report.ok:
@@ -235,12 +235,11 @@ def color_tiling(tiling: Tiling, mode: str = "plain") -> EdgeColoring:
         raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
     torus = tiling.torus
     points = list(torus.vertices())
-    out = EdgeColoring()
-    write = out.write
+    out: dict[Edge, str] = {}
     for region in tiling.regions:
         frame = region_frame(region, torus.moduli)
         for i, axis, color in local_edges(region.sizes, plain, (0,) * region.n):
-            write((points[frame[i]], axis), color)
+            _store(out, (points[frame[i]], axis), color)
     expected = torus.n * torus.vertex_count()
     if len(out) != expected:
         raise VerificationError(
@@ -264,7 +263,7 @@ def allowed_core_edges(tiling: Tiling) -> set[Edge]:
 # torus-wide verification
 # ---------------------------------------------------------------------------
 
-def verify_tiling_coloring(coloring: EdgeColoring, tiling: Tiling, mode: str) -> TilingReport:
+def verify_tiling_coloring(coloring: dict[Edge, str], tiling: Tiling, mode: str) -> TilingReport:
     """Full certification in one pass: totality, properness, palette, confinement.
 
     Totality means exactly the n * |V| torus edges, keyed by their

@@ -1,9 +1,10 @@
-"""Shared fixtures: a hand-transcribed reference coloring of a 2x2 box."""
+"""Shared fixtures: a hand-transcribed reference coloring of a 2x2 box,
+and a patch that makes two regions disagree on a crossing edge."""
 
 import pytest
 
-from chromatile.grid import Box
-from chromatile.rectcolor import C, EdgeColoring, P
+from chromatile.grid import Box, _frame_index
+from chromatile.rectcolor import C, P
 
 
 @pytest.fixture
@@ -29,9 +30,30 @@ def reference_2x2_coloring():
         (0, -2): C(2), (0, -1): C(1), (0, 0): P(3), (0, 1): C(2),
         (1, -2): C(2), (1, -1): P(2), (1, 0): P(3), (1, 1): C(2),
     }
-    coloring = EdgeColoring()
-    for base, color in horizontal.items():
-        coloring.write((base, 1), color)
-    for base, color in vertical.items():
-        coloring.write((base, 2), color)
+    coloring = {(base, 1): color for base, color in horizontal.items()}
+    coloring.update(((base, 2), color) for base, color in vertical.items())
     return coloring
+
+
+@pytest.fixture
+def force_conflict(monkeypatch):
+    """Patch ``local_edges`` where a module looks it up, so that every
+    region writes its lower adjacent edge along axis 1 at its origin as
+    the plain color 1 in place of c1.  The region across that edge still
+    writes c1 there, so the two writes disagree."""
+
+    def patch(module):
+        original = module.local_edges
+
+        def recolored(sizes, plain, shift):
+            n = len(sizes)
+            frame = _frame_index([-1] * n, [a + 2 for a in sizes])
+            target = (frame[(-1,) + (0,) * (n - 1)], 1)
+            return [
+                (i, axis, P(1) if (i, axis) == target else color)
+                for i, axis, color in original(sizes, plain, shift)
+            ]
+
+        monkeypatch.setattr(module, "local_edges", recolored)
+
+    return patch

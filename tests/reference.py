@@ -40,7 +40,6 @@ from chromatile.lattice import (
 )
 from chromatile.layered import CosetModel
 from chromatile.lowerbound import TorusLabeling
-from chromatile.rectcolor import EdgeColoring
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
 
 
@@ -50,7 +49,7 @@ def endpoints(edge: Edge) -> tuple[Vertex, Vertex]:
     return base, tuple(x + 1 if i == axis - 1 else x for i, x in enumerate(base))
 
 
-def verify_proper(coloring: EdgeColoring) -> bool:
+def verify_proper(coloring: dict[Edge, str]) -> bool:
     """No two colored edges sharing a vertex carry the same color."""
     at_vertex: dict[Vertex, set] = {}
     for edge, color in coloring.items():

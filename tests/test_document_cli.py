@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromatile import tiling as tiling_module
 from chromatile.cli import main
 from chromatile.document import (
     ColoringDocument,
@@ -23,7 +24,6 @@ from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
 from chromatile.lowerbound import TorusLabeling
 from chromatile.rectcolor import (
-    EdgeColoring,
     color_bc1,
     palette,
     verify_boundary_condition,
@@ -194,7 +194,7 @@ def render_cases(draw):
         kind = "rect"
     edges = [(base, ax) for base in product(*ranges) for ax in range(1, n + 1)]
     chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=len(edges), unique=True))
-    coloring = EdgeColoring({e: draw(st.sampled_from(legend)) for e in chosen})
+    coloring = {e: draw(st.sampled_from(legend)) for e in chosen}
     doc = ColoringDocument(kind, n, meta, legend, coloring)
     if n == 3:
         ax = draw(st.integers(1, 3))
@@ -351,6 +351,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "breaks a matching pattern" in captured.err
+
+    def test_color_conflict_is_a_verification_failure(self, force_conflict, capsys):
+        force_conflict(tiling_module)
+        assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: edge ")
+        assert " vs " in captured.err
 
     @pytest.mark.parametrize("mode,sizes", [("bc1", "6,6"), ("bc2", "5,6"), ("core", "6,6")])
     def test_shift_outside_shifted_mode_is_invalid(self, mode, sizes, tmp_path, capsys):

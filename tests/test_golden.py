@@ -16,7 +16,7 @@ import pytest
 
 from chromatile.cli import main
 from chromatile.grid import Box
-from chromatile.rectcolor import color_bc1, color_bc2, color_shifted_core
+from chromatile.rectcolor import _bc1, color_bc2, color_shifted_core
 from reference import admissible_shifts
 
 # input files written as given: generating sets, listing one of v, -v (every
@@ -132,15 +132,17 @@ BUILDER_DIGEST = "ed5f1da47a0a8ec2f7c739d59dd471ec9a20ae5602e0a7ce59a64e23bbb689
 
 
 def _builder_sweep():
-    """Every box with n <= 3 and sides 1..3 under color_bc1 in every axis
-    order and color_bc2 on every odd axis; color_shifted_core for every
+    """Every box with n <= 3 and sides 1..3 under the bc1 builder in every
+    axis order and color_bc2 on every odd axis; color_shifted_core for every
     admissible shift of the side-d cube, d in {2, 6, 10, 14} (n <= 2 for
     d = 14, where n = 3 has 125 shifts)."""
     for n in (1, 2, 3):
         for sizes in product(range(1, 4), repeat=n):
             box = Box(ORIGIN[:n], sizes)
             for order in permutations(range(1, n + 1)):
-                yield "bc1", box, order, color_bc1(box, order)
+                coloring = {}
+                _bc1(coloring, box.origin, box.sizes, order)
+                yield "bc1", box, order, coloring
             for ax in range(1, n + 1):
                 if sizes[ax - 1] % 2:
                     yield "bc2", box, ax, color_bc2(box, ax)

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from chromatile.errors import InfeasibleError
+from chromatile import layered
+from chromatile.errors import ColorConflictError, InfeasibleError
 from chromatile.grid import Torus, adjacent_edges, edges_in
 from chromatile.lattice import GeneratorSet, decompose_with_constants, vscale
 from chromatile.layered import (
@@ -148,19 +149,24 @@ class TestRunLayered:
         other = next(c for c in good.values() if c != good[key])
         bad = dict(good)
         bad[key] = other
-        from chromatile.rectcolor import EdgeColoring
         from dataclasses import replace
 
-        broken = replace(run.result, coloring=EdgeColoring(bad))
+        broken = replace(run.result, coloring=bad)
         report = verify_layered(broken, S_ONE_TWO, (6277,))
         assert not report.ok
         assert any("twice" in p or "palette" in p for p in report.problems)
 
         del bad[key]
-        missing = replace(run.result, coloring=EdgeColoring(bad))
+        missing = replace(run.result, coloring=bad)
         report2 = verify_layered(missing, S_ONE_TWO, (6277,))
         assert not report2.ok
         assert any("totality" in p for p in report2.problems)
+
+    def test_disagreeing_regions_raise(self, force_conflict):
+        force_conflict(layered)
+        with pytest.raises(ColorConflictError) as err:
+            run_pipeline(S_ONE_TWO, (13,), d_override=6)
+        assert err.traceback[-2].name == "run_layered"
 
     def test_palette_partition(self):
         run = run_pipeline(S_ONE_TWO, (6277,))
@@ -286,9 +292,7 @@ class TestLayeredVerifier:
     def mutant(self, run, coloring):
         from dataclasses import replace
 
-        from chromatile.rectcolor import EdgeColoring
-
-        return replace(run.result, coloring=EdgeColoring(coloring))
+        return replace(run.result, coloring=coloring)
 
     def test_every_single_edge_recolor(self, run13):
         good = dict(run13.result.coloring.items())

@@ -2,11 +2,11 @@
 
 import pytest
 
-from chromatile.errors import InfeasibleError, InvalidInputError
+from chromatile import tiling as tiling_module
+from chromatile.errors import ColorConflictError, InfeasibleError, InvalidInputError
 from chromatile.grid import Box, Torus, adjacent_edges, edges_in
 from chromatile.rectcolor import (
     C,
-    EdgeColoring,
     P,
     color_bc1,
     color_bc2,
@@ -119,7 +119,7 @@ class TestColorTiling:
         coloring = color_tiling(tiling, mode="plain")
         report = verify_tiling_coloring(coloring, tiling, "plain")
         assert report.ok, report.problems
-        assert len(coloring.colors_used()) <= 5
+        assert len(set(coloring.values())) <= 5
         for e in crossing_edges(tiling):
             assert coloring.get(e) == C(e[1])
 
@@ -138,7 +138,7 @@ class TestColorTiling:
         coloring = color_tiling(tiling, mode="core")
         report = verify_tiling_coloring(coloring, tiling, "core")
         assert report.ok, report.problems
-        assert P(3) not in coloring.colors_used()
+        assert P(3) not in coloring.values()
 
     def test_core_edge_budget(self):
         # edges of one core never exceed the 2-cube edge count
@@ -225,13 +225,20 @@ class TestColorTiling:
             coloring = color_tiling(tiling, mode="core")
             report = verify_tiling_coloring(coloring, tiling, "core")
             assert report.ok, report.problems
-            assert len(coloring.colors_used()) <= 7
+            assert len(set(coloring.values())) <= 7
 
     def test_core_torus_verification(self):
         tiling = brick_tiling(Torus((13, 13)), 6, offsets=(0, 3))
         coloring = color_tiling(tiling, mode="core")
         report = verify_tiling_coloring(coloring, tiling, "core")
         assert report.ok
+
+    def test_disagreeing_regions_raise(self, force_conflict):
+        force_conflict(tiling_module)
+        tiling = brick_tiling(Torus((13, 13)), 6)
+        with pytest.raises(ColorConflictError) as err:
+            color_tiling(tiling, mode="core")
+        assert err.traceback[-2].name == "color_tiling"
 
     def test_mode_validation(self):
         tiling = brick_tiling(Torus((12,)), 4)  # d = 4 is not 2 mod 4
@@ -253,7 +260,7 @@ def reference_torus_problems(coloring, tiling, mode):
     expected = {(v, ax) for v in torus.vertices() for ax in range(1, n + 1)}
     if set(dict(coloring.items())) != expected:
         return ["totality"]
-    if not coloring.colors_used() <= set(palette(n)):
+    if not set(coloring.values()) <= set(palette(n)):
         return ["palette"]
     at_vertex = {}
     for (base, axis), color in coloring.items():
@@ -285,7 +292,7 @@ class TestTorusVerifier:
             for wrong in palette(2):
                 if wrong == color:
                     continue
-                mutant = EdgeColoring({**good, edge: wrong})
+                mutant = {**good, edge: wrong}
                 report = verify_tiling_coloring(mutant, tiling, "core")
                 assert report.ok == (not reference_torus_problems(mutant, tiling, "core"))
                 rejected += not report.ok
@@ -296,7 +303,7 @@ class TestTorusVerifier:
         tiling, coloring = core13
         good = dict(coloring.items())
         del good[((4, 7), 2)]
-        report = verify_tiling_coloring(EdgeColoring(good), tiling, "core")
+        report = verify_tiling_coloring(good, tiling, "core")
         assert not report.ok
         assert any("totality" in p and "1 missing" in p for p in report.problems)
 
@@ -305,7 +312,7 @@ class TestTorusVerifier:
     )
     def test_alien_key_rejected(self, core13, alien):
         tiling, coloring = core13
-        mutant = EdgeColoring({**dict(coloring.items()), alien: C(1)})
+        mutant = {**coloring, alien: C(1)}
         report = verify_tiling_coloring(mutant, tiling, "core")
         assert not report.ok
         assert any("1 alien" in p for p in report.problems)
@@ -315,7 +322,7 @@ class TestTorusVerifier:
         good = dict(coloring.items())
         color = good.pop(((0, 0), 1))
         good[((13, 0), 1)] = color  # the same edge, base not reduced
-        report = verify_tiling_coloring(EdgeColoring(good), tiling, "core")
+        report = verify_tiling_coloring(good, tiling, "core")
         assert not report.ok
         assert any("1 missing, 1 alien" in p for p in report.problems)
 
@@ -323,7 +330,7 @@ class TestTorusVerifier:
         tiling, coloring = core13
         allowed = allowed_core_edges(tiling)
         edge = next(e for e, _ in sorted(coloring.items()) if e not in allowed)
-        mutant = EdgeColoring({**dict(coloring.items()), edge: P(3)})
+        mutant = {**coloring, edge: P(3)}
         report = verify_tiling_coloring(mutant, tiling, "core")
         assert not report.ok
         assert any("escapes the cores" in p for p in report.problems)
@@ -334,7 +341,7 @@ class TestTorusVerifier:
     @pytest.mark.parametrize("wrong", [P(4), C(3), 1, "p1"])
     def test_off_palette_color_rejected(self, core13, wrong):
         tiling, coloring = core13
-        mutant = EdgeColoring({**dict(coloring.items()), ((5, 5), 1): wrong})
+        mutant = {**coloring, ((5, 5), 1): wrong}
         report = verify_tiling_coloring(mutant, tiling, "core")
         assert not report.ok
         assert any("palette" in p for p in report.problems)
