@@ -1,15 +1,16 @@
 """Line-oriented text formats for colorings and layered results.
 
 Text over binary: desk-scale colorings are small, and reviewers can
-diff them.  Writers emit records in sorted order, so serialization is
-byte-deterministic; readers validate that every edge appears exactly
-once and that color names come from the declared legend.
+diff them.  Writers walk a document's frame, its possible edge bases,
+in sorted order, so serialization is byte-deterministic; readers check
+that every edge lies on the frame, appears once and has a legend color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import product
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
 from .grid import Edge, Vertex
@@ -27,9 +28,9 @@ def fmt_vec(v: Vector) -> str:
 
 def parse_vec(text: str) -> Vector:
     try:
-        return tuple(int(p) for p in text.strip().split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError as exc:
-        raise InvalidInputError(f"bad vector {text!r}") from exc
+        raise InvalidInputError(f"bad vector {text.strip()!r}") from exc
 
 
 @dataclass
@@ -86,36 +87,54 @@ def serialize_coloring(doc: ColoringDocument) -> str:
     for key in _META_ORDER:
         if key in doc.meta:
             lines.append(f"{key}={doc.meta[key]}")
-    legend = set(doc.legend)
-    for edge, color in doc.coloring.items():
-        if color not in legend:
-            raise InvalidInputError(f"color {color} missing from the legend")
     lines.append("palette=" + ",".join(doc.legend))
     lines.append(f"edges={len(doc.coloring)}")
-    lines += _edge_records(doc.coloring.items(), str)
+    frame = _frame(doc.kind, doc.n, doc.meta)
+    lines += _frame_records(doc.coloring, doc.legend, frame, range(1, doc.n + 1), str)
     return "\n".join(lines) + "\n"
 
 
-def _edge_records(
-    items: Iterable[tuple[tuple[Vertex, object], str]], fmt_class: Callable[[object], str]
-) -> list[str]:
+def _frame(kind: str, n: int, meta: dict[str, str]) -> tuple[list[range], str]:
+    """The ranges of a document's edge bases, and the frame's name:
+    [0, q_i) on a torus, the box padded by one vertex on a rect."""
+    if kind == "torus":
+        moduli = _field(meta, "moduli", parse_vec)
+        if len(moduli) != n:
+            raise InvalidInputError(f"moduli= does not fit dimension {n}")
+        return [range(q) for q in moduli], f"the torus {fmt_vec(moduli)}"
+    if kind != "rect":
+        raise InvalidInputError(f"unknown document kind {kind!r}")
+    origin, sizes = _field(meta, "origin", parse_vec), _field(meta, "sizes", parse_vec)
+    if len(origin) != n or len(sizes) != n or min(sizes) < 1:
+        raise InvalidInputError(f"origin= and sizes= need dimension {n} and sides of at least 1")
+    name = f"the frame of the box at {fmt_vec(origin)} of sizes {fmt_vec(sizes)}"
+    return [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)], name
+
+
+def _frame_records(coloring: dict, legend: list[str], frame: tuple[list[range], str],
+                   classes: Sequence, fmt_class: Callable[[object], str]) -> list[str]:
     """One "base ; edge class ; color" line per edge, sorted by (base, class).
 
-    The edge class is an axis or a step.  Records are grouped by base,
-    so that each base and each class is formatted once.
+    The edge class is an axis or a step.  Walks the frame's (base, class)
+    slots in row-major order, which is sorted order, one lookup each: the
+    cost grows with the frame, not with the edge count, and every CLI
+    document covers its whole frame.  A color outside the legend, or an
+    edge off the frame or of another class, whose record no reader
+    accepts, raises InvalidInputError.
     """
-    by_base: dict[Vertex, list[tuple[object, str]]] = {}
-    for (base, cls), color in items:
-        by_base.setdefault(base, []).append((cls, color))
-    class_text: dict[object, str] = {}
-    lines = []
-    for base in sorted(by_base):
-        prefix = fmt_vec(base) + " ; "
-        for cls, color in sorted(by_base[base]):
-            text = class_text.get(cls)
-            if text is None:
-                text = class_text[cls] = fmt_class(cls)
-            lines.append(f"{prefix}{text} ; {color}")
+    if not set(legend).issuperset(coloring.values()):
+        color = next(c for c in coloring.values() if c not in legend)
+        raise InvalidInputError(f"color {color} missing from the legend")
+    ranges, name = frame
+    get = coloring.get
+    tails = [(cls, f" ; {fmt_class(cls)} ; ") for cls in classes]
+    texts = map(",".join, product(*[[str(x) for x in r] for r in ranges]))
+    lines = [text + tail + color for base, text in zip(product(*ranges), texts)
+             for cls, tail in tails if (color := get((base, cls))) is not None]
+    if len(lines) != len(coloring):
+        key = next(k for k in coloring if k[1] not in classes or len(k[0]) != len(ranges)
+                   or not all(map(range.__contains__, ranges, k[0])))
+        raise InvalidInputError(f"edge {key} lies off {name} or has a class it lacks")
     return lines
 
 
@@ -136,18 +155,11 @@ def _int(text: str, line: str) -> int:
         raise InvalidInputError(f"bad integer {text!r} in {line!r}") from exc
 
 
-def _read(text: str, fmt: str) -> tuple[
-    dict[str, str], list[str], list[str],
-    Callable[[Optional[Vector]], Iterator[tuple[Vertex, str, str, str]]],
-]:
-    """The header, the shift= lines, the legend and the edge records of a document.
+def _read(text: str, fmt: str) -> tuple[dict[str, str], list[str], list[str], list[str]]:
+    """The header, the shift= lines, the legend and the edge record lines of a document.
 
     Header and shift= lines come first, then the records.  Checks the
     format line and edges= against the record count at once.
-    ``records(moduli)`` yields the records as (base, second field, color,
-    line) and checks each as it goes: three fields, a base of dimension
-    n, inside [0, q_i) on every axis when ``moduli`` is given, and a color
-    from the legend.
     """
     header: dict[str, str] = {}
     shifts: list[str] = []
@@ -168,56 +180,65 @@ def _read(text: str, fmt: str) -> tuple[
             raise InvalidInputError(f"bad header line {line!r}")
     if header.get("format") != fmt:
         raise InvalidInputError(f"not a {fmt} document")
-    n = _field(header, "n")
+    _field(header, "n")
     count = _field(header, "edges")
     if len(lines) != count:
         raise InvalidInputError(f"expected {count} edge records, found {len(lines)}")
     legend = [c for c in header.get("palette", "").split(",") if c]
-    legal = set(legend)
+    return header, shifts, legend, lines
 
-    def records(moduli: Optional[Vector]) -> Iterator[tuple[Vertex, str, str, str]]:
-        base_text, base = None, ()
-        for line in lines:
-            parts = [p.strip() for p in line.split(";")]
-            if len(parts) != 3:
-                raise InvalidInputError(f"bad edge record {line!r}")
-            if parts[0] != base_text:  # written documents list a base's records together
-                base_text, base = parts[0], parse_vec(parts[0])
-                if len(base) != n:
-                    raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
-                if moduli is not None:
-                    for x, q in zip(base, moduli):
-                        if not 0 <= x < q:
-                            raise InvalidInputError(
-                                f"record {line!r} has a base off the torus {fmt_vec(moduli)}"
-                            )
-            if parts[2] not in legal:
-                raise InvalidInputError(f"color {parts[2]!r} not in the legend")
-            yield base, parts[1], parts[2], line
 
-    return header, shifts, legend, records
+def _records(lines: list[str], legend: list[str], frame: tuple[list[range], str],
+             parse_class: Callable[[str, str], object]) -> dict:
+    """The coloring that the record lines hold.  Each record needs three fields,
+    a base on the frame, a color from the legend, a class that
+    ``parse_class(text, line)`` accepts and parses, and a new edge."""
+    ranges, name = frame
+    n = len(ranges)
+    coloring, classes = {}, {}  # (base, class) -> color; class text -> class
+    colors = {f" {c}": c for c in legend}  # the color field as written
+    base_text = None
+    for line in lines:
+        parts = line.split(";")
+        if len(parts) != 3:
+            raise InvalidInputError(f"bad edge record {line!r}")
+        text, cls_text, color_text = parts
+        if text != base_text:  # written documents list a base's records together
+            base_text, base = text, parse_vec(text)
+            if len(base) != n:
+                raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+            if not all(map(range.__contains__, ranges, base)):
+                raise InvalidInputError(f"record {line!r} has a base off {name}")
+        color = colors.get(color_text)
+        if color is None and (color := color_text.strip()) not in legend:
+            raise InvalidInputError(f"color {color!r} not in the legend")
+        cls = classes.get(cls_text)
+        if cls is None:
+            cls = classes[cls_text] = parse_class(cls_text.strip(), line)
+        key = (base, cls)
+        if key in coloring:
+            raise InvalidInputError(f"the edge of record {line!r} appears twice")
+        coloring[key] = color
+    return coloring
 
 
 def parse_coloring_document(text: str) -> ColoringDocument:
-    header, shifts, legend, records = _read(text, COLORING_FORMAT)
+    header, shifts, legend, lines = _read(text, COLORING_FORMAT)
     if shifts:
         raise InvalidInputError("a coloring document has no shift= lines")
     n = _field(header, "n")
     kind = header.get("kind", "")
-    moduli = _field(header, "moduli", parse_vec) if kind == "torus" else None
-    if moduli is not None and len(moduli) != n:
-        raise InvalidInputError(f"moduli= does not fit dimension {n}")
+    frame = _frame(kind, n, header)
     if not set(legend) <= set(palette(n)):
         raise InvalidInputError(f"palette= names a color outside palette({n})")
-    coloring: dict[Edge, str] = {}
-    for base, axis_text, color, line in records(moduli):
-        axis = _int(axis_text, line)
+
+    def axis_of(text: str, line: str) -> int:
+        axis = _int(text, line)
         if not 1 <= axis <= n:
             raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
-        key = (base, axis)
-        if key in coloring:
-            raise InvalidInputError(f"the edge of record {line!r} appears twice")
-        coloring[key] = color
+        return axis
+
+    coloring = _records(lines, legend, frame, axis_of)
     meta = {k: v for k, v in header.items() if k in _META_ORDER}
     return ColoringDocument(kind, n, meta, legend, coloring)
 
@@ -285,16 +306,16 @@ def serialize_layered(doc: LayeredDocument) -> str:
         lines.append(f"shift={level} ; {fmt_vec(rep)} ; {idx} ; {a}")
     lines.append("palette=" + ",".join(doc.legend))
     lines.append(f"edges={len(doc.coloring)}")
-    lines += _edge_records(doc.coloring.items(), fmt_vec)
+    frame = [range(q) for q in doc.moduli], f"the torus {fmt_vec(doc.moduli)}"
+    lines += _frame_records(doc.coloring, doc.legend, frame, sorted(set(doc.generators)), fmt_vec)
     return "\n".join(lines) + "\n"
 
 
 def parse_layered_document(text: str) -> LayeredDocument:
-    header, shift_lines, legend, records = _read(text, LAYERED_FORMAT)
+    header, shift_lines, legend, lines = _read(text, LAYERED_FORMAT)
     n = _field(header, "n")
     moduli = _field(header, "moduli", parse_vec)
-    if len(moduli) != n:
-        raise InvalidInputError(f"moduli= does not fit dimension {n}")
+    frame = _frame("torus", n, header)
     levels = _field(header, "levels")
     k_sets = []
     for level in range(levels):
@@ -309,15 +330,14 @@ def parse_layered_document(text: str) -> LayeredDocument:
         shifts.append((_int(level, ln), parse_vec(rep), _int(idx, ln), _int(a, ln)))
     generators = [parse_vec(g) for g in _field(header, "generators", str).split("|") if g]
     steps = set(generators)
-    coloring: dict[tuple[Vertex, Vector], str] = {}
-    for base, step_text, color, line in records(moduli):
-        step = parse_vec(step_text)
+
+    def step_of(text: str, line: str) -> Vector:
+        step = parse_vec(text)
         if step not in steps:
             raise InvalidInputError(f"record {line!r} steps by no listed generator")
-        key = (base, step)
-        if key in coloring:
-            raise InvalidInputError(f"the edge of record {line!r} appears twice")
-        coloring[key] = color
+        return step
+
+    coloring = _records(lines, legend, frame, step_of)
     return LayeredDocument(
         n=n,
         moduli=moduli,

@@ -18,16 +18,29 @@ Each one reads a definition literally and makes no claim to speed:
   matching over the graph's ``vertices`` and ``neighbors``, the
   reference for ``has_perfect_matching``'s rule on generator orders;
 * ``render_svg``: the straightforward SVG renderer that formats every
-  segment end on its own, the reference for ``chromatile.render``.
+  segment end on its own, the reference for ``chromatile.render``;
+* ``serialize_coloring`` and ``serialize_layered``: the document writers
+  that group the records by base and sort them, and ``read_coloring``:
+  the record reader that strips every field of every record, the
+  references for ``chromatile.document``'s frame walk and record loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from chromatile.document import ColoringDocument
+from chromatile.document import (
+    COLORING_FORMAT,
+    LAYERED_FORMAT,
+    _META_ORDER,
+    ColoringDocument,
+    LayeredDocument,
+    _field,
+    _int,
+    fmt_vec,
+)
 from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import Edge, SchreierGraphView, Vertex
 from chromatile.lattice import (
@@ -308,3 +321,111 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def _edge_records(
+    items: Iterable[tuple[tuple[Vertex, object], str]], fmt_class: Callable[[object], str]
+) -> list[str]:
+    """One "base ; edge class ; color" line per edge, sorted by (base, class)."""
+    by_base: dict[Vertex, list[tuple[object, str]]] = {}
+    for (base, cls), color in items:
+        by_base.setdefault(base, []).append((cls, color))
+    lines = []
+    for base in sorted(by_base):
+        for cls, color in sorted(by_base[base]):
+            lines.append(f"{fmt_vec(base)} ; {fmt_class(cls)} ; {color}")
+    return lines
+
+
+def serialize_coloring(doc: ColoringDocument) -> str:
+    """A rect or torus document, its records sorted by (base, axis)."""
+    lines = [f"format={COLORING_FORMAT}", f"kind={doc.kind}", f"n={doc.n}"]
+    for key in _META_ORDER:
+        if key in doc.meta:
+            lines.append(f"{key}={doc.meta[key]}")
+    for color in doc.coloring.values():
+        if color not in doc.legend:
+            raise InvalidInputError(f"color {color} missing from the legend")
+    lines.append("palette=" + ",".join(doc.legend))
+    lines.append(f"edges={len(doc.coloring)}")
+    lines += _edge_records(doc.coloring.items(), str)
+    return "\n".join(lines) + "\n"
+
+
+def serialize_layered(doc: LayeredDocument) -> str:
+    """A layered document, its records sorted by (base, step)."""
+    lines = [
+        f"format={LAYERED_FORMAT}",
+        f"n={doc.n}",
+        f"moduli={fmt_vec(doc.moduli)}",
+        "generators=" + "|".join(fmt_vec(g) for g in doc.generators),
+        f"levels={doc.levels}",
+        f"d={doc.d}",
+        f"alpha={doc.alpha}",
+        f"beta={doc.beta}",
+        f"s={fmt_vec(doc.s)}",
+    ]
+    for level, pts in enumerate(doc.k_sets):
+        lines.append(f"kset{level}=" + "|".join(fmt_vec(p) for p in pts))
+    for level, rep, idx, a in doc.shifts:
+        lines.append(f"shift={level} ; {fmt_vec(rep)} ; {idx} ; {a}")
+    lines.append("palette=" + ",".join(doc.legend))
+    lines.append(f"edges={len(doc.coloring)}")
+    lines += _edge_records(doc.coloring.items(), fmt_vec)
+    return "\n".join(lines) + "\n"
+
+
+def _parse_vec(text: str) -> Vector:
+    try:
+        return tuple(int(p) for p in text.strip().split(","))
+    except ValueError as exc:
+        raise InvalidInputError(f"bad vector {text!r}") from exc
+
+
+def read_coloring(text: str) -> dict:
+    """The coloring of a coloring or layered document's records.
+
+    Strips every field of every record and checks each record on its
+    own: three fields, a base of dimension n, inside [0, q_i) on a
+    torus, a color from the legend, an axis in 1..n or a listed
+    generator, and an edge not seen before.  Checks no header beyond
+    what reading the records needs, and no rect frame.
+    """
+    header, lines = {}, []
+    for line in text.splitlines():
+        if ";" in line and not line.startswith("shift="):
+            lines.append(line)
+        elif "=" in line and not line.startswith("shift="):
+            key, value = line.split("=", 1)
+            header[key.strip()] = value.strip()
+    n = _field(header, "n")
+    layered = header.get("format") == LAYERED_FORMAT
+    moduli: Optional[Vector] = None
+    if layered or header.get("kind") == "torus":
+        moduli = _parse_vec(header["moduli"])
+    legal = {c for c in header.get("palette", "").split(",") if c}
+    steps = {_parse_vec(g) for g in header.get("generators", "").split("|") if g}
+    coloring: dict = {}
+    for line in lines:
+        parts = [p.strip() for p in line.split(";")]
+        if len(parts) != 3:
+            raise InvalidInputError(f"bad edge record {line!r}")
+        base = _parse_vec(parts[0])
+        if len(base) != n:
+            raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+        if moduli is not None and not all(0 <= x < q for x, q in zip(base, moduli)):
+            raise InvalidInputError(f"record {line!r} has a base off the torus {fmt_vec(moduli)}")
+        if parts[2] not in legal:
+            raise InvalidInputError(f"color {parts[2]!r} not in the legend")
+        if layered:
+            cls = _parse_vec(parts[1])
+            if cls not in steps:
+                raise InvalidInputError(f"record {line!r} steps by no listed generator")
+        else:
+            cls = _int(parts[1], line)
+            if not 1 <= cls <= n:
+                raise InvalidInputError(f"record {line!r} does not fit dimension {n}")
+        if (base, cls) in coloring:
+            raise InvalidInputError(f"the edge of record {line!r} appears twice")
+        coloring[base, cls] = parts[2]
+    return coloring

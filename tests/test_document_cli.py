@@ -10,6 +10,7 @@ from chromatile import tiling as tiling_module
 from chromatile.cli import main
 from chromatile.document import (
     ColoringDocument,
+    LayeredDocument,
     document_for_layered,
     document_for_rect,
     document_for_torus,
@@ -31,8 +32,85 @@ from chromatile.rectcolor import (
 )
 from chromatile.render import render_svg
 from chromatile.tiling import brick_tiling, color_tiling
+from reference import read_coloring as reference_read_coloring
 from reference import render_svg as reference_render_svg
+from reference import serialize_coloring as reference_serialize_coloring
+from reference import serialize_layered as reference_serialize_layered
 from reference import verify_proper
+
+
+def _ids_without_message(cases):
+    """The ids pytest gives the cases without their expected message."""
+    return ["-".join(case[:-1]) for case in cases]
+
+
+# (kind, text replaced, replacement, the reader's error message)
+MALFORMED_COLORING = [
+    ("rect", "1 ; 1 ; 2", "1 ; x ; 2", "bad integer 'x' in '1 ; x ; 2'"),
+    ("rect", "palette=c1,1,2", "palette=x5,c1,1,2",  # not a color name
+     "palette= names a color outside palette(1)"),
+    ("rect", "palette=c1,1,2", "palette=c1,1,2,c2",  # outside palette(1)
+     "palette= names a color outside palette(1)"),
+    ("rect", "n=1\n", "", "missing n= header"),
+    ("rect", "n=1\n", "n=x\n", "bad n= header 'x'"),
+    ("rect", "edges=4\n", "edges=four\n", "bad edges= header 'four'"),
+    ("torus", "moduli=13\n", "", "missing moduli= header"),
+    ("torus", "moduli=13\n", "moduli=13,13\n", "moduli= does not fit dimension 1"),
+    ("torus", "\n0 ; 1 ; 1\n", "\n13 ; 1 ; 1\n",  # base off the torus
+     "record '13 ; 1 ; 1' has a base off the torus 13"),
+    ("torus", "\n0 ; 1 ; 1\n", "\n-1 ; 1 ; 1\n",
+     "record '-1 ; 1 ; 1' has a base off the torus 13"),
+    ("rect", "palette=", "shift=0 ; 0 ; 5 ; 0\npalette=",  # layered-only line
+     "a coloring document has no shift= lines"),
+    ("rect", "2 ; 1 ; c1\n", "2 ; 1 ; c1\nmode=core\n",  # header after records
+     "line 'mode=core' follows the edge records"),
+    ("rect", "\n0 ; 1 ; 1\n", "\n0 ; 1 ; 1 ; 1\n", "bad edge record '0 ; 1 ; 1 ; 1'"),
+    ("rect", "\n0 ; 1 ; 1\n", "\n0 ; 1 ; c9\n", "color 'c9' not in the legend"),
+    ("rect", "\n0 ; 1 ; 1\n", "\n0 ; 2 ; 1\n", "record '0 ; 2 ; 1' does not fit dimension 1"),
+    ("rect", "\n0 ; 1 ; 1\n", "\n0,0 ; 1 ; 1\n",
+     "record '0,0 ; 1 ; 1' does not fit dimension 1"),
+    ("rect", "\n0 ; 1 ; 1\n", "\nx ; 1 ; 1\n", "bad vector 'x'"),
+    # a rect document needs its box, and its bases on the box's frame
+    ("rect", "kind=rect\n", "", "unknown document kind ''"),
+    ("rect", "origin=0\n", "", "missing origin= header"),
+    ("rect", "sizes=2\n", "", "missing sizes= header"),
+    ("rect", "origin=0\n", "origin=0,0\n",
+     "origin= and sizes= need dimension 1 and sides of at least 1"),
+    ("rect", "sizes=2\n", "sizes=2,2\n",
+     "origin= and sizes= need dimension 1 and sides of at least 1"),
+    ("rect", "sizes=2\n", "sizes=0\n",
+     "origin= and sizes= need dimension 1 and sides of at least 1"),
+    ("rect", "\n0 ; 1 ; 1\n", "\n99 ; 1 ; 1\n",
+     "record '99 ; 1 ; 1' has a base off the frame of the box at 0 of sizes 2"),
+    ("rect", "\n-1 ; 1 ; c1\n", "\n-2 ; 1 ; c1\n",
+     "record '-2 ; 1 ; c1' has a base off the frame of the box at 0 of sizes 2"),
+]
+
+# (text replaced, replacement, the reader's error message)
+MALFORMED_LAYERED = [
+    ("n=1\n", "", "missing n= header"),
+    ("n=1\n", "n=x\n", "bad n= header 'x'"),
+    ("d=6\n", "d=six\n", "bad d= header 'six'"),
+    ("generators=1|2\n", "", "missing generators= header"),
+    ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; 5", "bad shift line '0 ; 0 ; 5'"),
+    ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; x ; 0", "bad integer 'x' in '0 ; 0 ; x ; 0'"),
+    ("\n0 ; 1 ; p1@0\n", "\n0,0 ; 1 ; p1@0\n",  # base of the wrong dimension
+     "record '0,0 ; 1 ; p1@0' does not fit dimension 1"),
+    ("\n0 ; 1 ; p1@0\n", "\n0 ; 3 ; p1@0\n",  # step not in generators=
+     "record '0 ; 3 ; p1@0' steps by no listed generator"),
+    ("\n0 ; 1 ; p1@0\n", "\n0 ; 1 ; p1@0\nd=6\n",  # header after records
+     "line 'd=6' follows the edge records"),
+    ("\n0 ; 1 ; p1@0\n", "\n37 ; 1 ; p1@0\n",  # base off the torus
+     "record '37 ; 1 ; p1@0' has a base off the torus 37"),
+    ("\n0 ; 1 ; p1@0\n", "\n-1 ; 1 ; p1@0\n",
+     "record '-1 ; 1 ; p1@0' has a base off the torus 37"),
+    ("moduli=37\n", "moduli=37,37\n", "moduli= does not fit dimension 1"),
+]
+
+
+def _layered_37():
+    s = GeneratorSet.from_vectors([(1,), (2,)])
+    return document_for_layered(run_pipeline(s, (37,), 6).result)
 
 
 class TestColoringDocuments:
@@ -109,24 +187,9 @@ class TestColoringDocuments:
             parse("\n".join(lines) + "\n")
         assert str(err.value) == f"the edge of record {lines[first + 1]!r} appears twice"
 
-    @pytest.mark.parametrize(
-        "kind,old,new",
-        [
-            ("rect", "1 ; 1 ; 2", "1 ; x ; 2"),  # non-integer axis
-            ("rect", "palette=c1,1,2", "palette=x5,c1,1,2"),  # not a color name
-            ("rect", "palette=c1,1,2", "palette=c1,1,2,c2"),  # outside palette(1)
-            ("rect", "n=1\n", ""),
-            ("rect", "n=1\n", "n=x\n"),
-            ("rect", "edges=4\n", "edges=four\n"),
-            ("torus", "moduli=13\n", ""),
-            ("torus", "moduli=13\n", "moduli=13,13\n"),
-            ("torus", "\n0 ; 1 ; 1\n", "\n13 ; 1 ; 1\n"),  # base off the torus
-            ("torus", "\n0 ; 1 ; 1\n", "\n-1 ; 1 ; 1\n"),
-            ("rect", "palette=", "shift=0 ; 0 ; 5 ; 0\npalette="),  # layered-only line
-            ("rect", "2 ; 1 ; c1\n", "2 ; 1 ; c1\nmode=core\n"),  # header after records
-        ],
-    )
-    def test_malformed_coloring_document(self, kind, old, new):
+    @pytest.mark.parametrize("kind,old,new,message", MALFORMED_COLORING,
+                             ids=_ids_without_message(MALFORMED_COLORING))
+    def test_malformed_coloring_document(self, kind, old, new, message):
         if kind == "rect":
             box = Box((0,), (2,))
             doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
@@ -135,32 +198,116 @@ class TestColoringDocuments:
             doc = document_for_torus((13,), 6, "plain", coloring)
         text = serialize_coloring(doc)
         assert old in text
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as err:
             parse_coloring_document(text.replace(old, new, 1))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("old,new,message", MALFORMED_LAYERED,
+                             ids=_ids_without_message(MALFORMED_LAYERED))
+    def test_malformed_layered_document(self, old, new, message):
+        text = serialize_layered(_layered_37())
+        assert old in text
+        with pytest.raises(InvalidInputError) as err:
+            parse_layered_document(text.replace(old, new, 1))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "old,new",
+        "kind,key,message",
         [
-            ("n=1\n", ""),
-            ("n=1\n", "n=x\n"),
-            ("d=6\n", "d=six\n"),
-            ("generators=1|2\n", ""),
-            ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; 5"),
-            ("shift=0 ; 0 ; 5 ; 0", "shift=0 ; 0 ; x ; 0"),
-            ("\n0 ; 1 ; p1@0\n", "\n0,0 ; 1 ; p1@0\n"),  # base of the wrong dimension
-            ("\n0 ; 1 ; p1@0\n", "\n0 ; 3 ; p1@0\n"),  # step not in generators=
-            ("\n0 ; 1 ; p1@0\n", "\n0 ; 1 ; p1@0\nd=6\n"),  # header after records
-            ("\n0 ; 1 ; p1@0\n", "\n37 ; 1 ; p1@0\n"),  # base off the torus
-            ("\n0 ; 1 ; p1@0\n", "\n-1 ; 1 ; p1@0\n"),
-            ("moduli=37\n", "moduli=37,37\n"),
+            ("rect", ((99,), 1), "edge ((99,), 1) lies off the frame of the box at 0 of sizes 2"),
+            ("rect", ((3,), 1), "edge ((3,), 1) lies off the frame of the box at 0 of sizes 2"),
+            ("rect", ((0,), 2), "edge ((0,), 2) lies off the frame of the box at 0 of sizes 2"),
+            ("torus", ((13,), 1), "edge ((13,), 1) lies off the torus 13"),
+            ("torus", ((0, 0), 1), "edge ((0, 0), 1) lies off the torus 13"),
+            ("layered", ((37,), (1,)), "edge ((37,), (1,)) lies off the torus 37"),
+            ("layered", ((0,), (3,)), "edge ((0,), (3,)) lies off the torus 37"),
         ],
     )
-    def test_malformed_layered_document(self, old, new):
-        s = GeneratorSet.from_vectors([(1,), (2,)])
-        text = serialize_layered(document_for_layered(run_pipeline(s, (37,), 6).result))
-        assert old in text
+    def test_writer_refuses_an_edge_off_the_frame(self, kind, key, message):
+        # the old writers emitted such a record, and the reader refused it
+        if kind == "layered":
+            doc, write, reference = _layered_37(), serialize_layered, reference_serialize_layered
+            doc.coloring = {**doc.coloring, key: doc.legend[0]}
+        else:
+            if kind == "rect":
+                box = Box((0,), (2,))
+                doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
+            else:
+                doc = document_for_torus((13,), 6, "plain", color_tiling(brick_tiling(Torus((13,)), 6)))
+            write, reference = serialize_coloring, reference_serialize_coloring
+            doc.coloring[key] = doc.legend[0]
+        with pytest.raises(InvalidInputError) as err:
+            write(doc)
+        assert str(err.value) == f"{message} or has a class it lacks"
         with pytest.raises(InvalidInputError):
-            parse_layered_document(text.replace(old, new, 1))
+            (parse_layered_document if kind == "layered" else parse_coloring_document)(
+                reference(doc))
+
+    def test_layered_writer_checks_the_legend(self):
+        # the old writer printed the record, and the reader refused it
+        doc = _layered_37()
+        doc.coloring = {**doc.coloring, ((0,), (1,)): "zz"}
+        with pytest.raises(InvalidInputError) as err:
+            serialize_layered(doc)
+        assert str(err.value) == "color zz missing from the legend"
+        with pytest.raises(InvalidInputError):
+            parse_layered_document(reference_serialize_layered(doc))
+
+    @pytest.mark.parametrize("kind", ["rect", "torus", "layered"])
+    def test_whitespace_in_records(self, kind):
+        """Records padded with blanks and tabs read as the written ones do."""
+        if kind == "layered":
+            doc, write, parse = _layered_37(), serialize_layered, parse_layered_document
+        else:
+            if kind == "rect":
+                box = Box((-1, 0, 1), (2, 2, 2))
+                doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
+            else:
+                coloring = color_tiling(brick_tiling(Torus((13, 13)), 6), mode="core")
+                doc = document_for_torus((13, 13), 6, "core", coloring)
+            write, parse = serialize_coloring, parse_coloring_document
+        variants = [
+            lambda b, c, k: f" {b.replace(',', ', ')} ;{c};  {k} ",
+            lambda b, c, k: f"{b};{c};{k}",
+            lambda b, c, k: f"\t{b} ; {c}\t;{k}\t",
+            lambda b, c, k: f"{b} ; {c} ; {k}",
+        ]
+        lines = write(doc).splitlines()
+        for i, line in enumerate(lines):
+            if ";" in line and "=" not in line:
+                lines[i] = variants[i % len(variants)](*line.split(" ; "))
+        text = "\n".join(lines) + "\n"
+        assert parse(text).coloring == reference_read_coloring(text) == doc.coloring
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_writers_match_reference(self, data):
+        """Byte-identical to the sorting writers on sparse colorings of
+        random frames, and read back to the same coloring."""
+        n = data.draw(st.integers(1, 3))
+        legend = palette(n)
+        layered = data.draw(st.booleans())
+        kind, meta, ranges = data.draw(frames(n, torus_only=layered))
+        if layered:
+            vectors = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+            classes = data.draw(st.lists(vectors, min_size=1, max_size=4, unique=True))
+        else:
+            classes = range(1, n + 1)
+        slots = [(base, cls) for base in product(*ranges) for cls in classes]
+        chosen = data.draw(st.lists(st.sampled_from(slots), max_size=len(slots), unique=True))
+        coloring = {e: data.draw(st.sampled_from(legend)) for e in chosen}
+        if layered:
+            moduli = tuple(len(r) for r in ranges)
+            doc = LayeredDocument(n, moduli, classes, 1, 2, 1, 1, (1,) * n, [[]], [], legend,
+                                  coloring)
+            text = serialize_layered(doc)
+            assert text == reference_serialize_layered(doc)
+            assert parse_layered_document(text).coloring == coloring
+        else:
+            doc = ColoringDocument(kind, n, meta, legend, coloring)
+            text = serialize_coloring(doc)
+            assert text == reference_serialize_coloring(doc)
+            assert parse_coloring_document(text).coloring == coloring
+        assert reference_read_coloring(text) == coloring
 
     def test_layered_roundtrip(self):
         s = GeneratorSet.from_vectors([(1,), (2,)])
@@ -175,23 +322,27 @@ class TestColoringDocuments:
 
 
 @st.composite
+def frames(draw, n, torus_only=False):
+    """A torus or rect frame of dimension n: its kind, its meta and the
+    ranges of its edge bases, [0, q_i) or the box padded by one."""
+    if torus_only or draw(st.booleans()):
+        moduli = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        meta = {"moduli": ",".join(map(str, moduli)), "mode": "core"}
+        return "torus", meta, [range(q) for q in moduli]
+    origin = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    meta = {"origin": ",".join(map(str, origin)), "sizes": ",".join(map(str, sizes)),
+            "mode": "bc1"}
+    return "rect", meta, [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)]
+
+
+@st.composite
 def render_cases(draw):
     """A rect or torus document, n <= 3, on a random subset of its edges,
     so that some axes do not wrap, and slices to render it with."""
     n = draw(st.sampled_from([1, 2, 2, 2, 3, 3, 3]))
     legend = palette(n)
-    if draw(st.booleans()):
-        moduli = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-        meta = {"moduli": ",".join(map(str, moduli)), "mode": "core"}
-        ranges = [range(q) for q in moduli]
-        kind = "torus"
-    else:
-        origin = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
-        sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-        meta = {"origin": ",".join(map(str, origin)), "sizes": ",".join(map(str, sizes)),
-                "mode": "bc1"}
-        ranges = [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)]
-        kind = "rect"
+    kind, meta, ranges = draw(frames(n))
     edges = [(base, ax) for base in product(*ranges) for ax in range(1, n + 1)]
     chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=len(edges), unique=True))
     coloring = {e: draw(st.sampled_from(legend)) for e in chosen}
@@ -303,7 +454,8 @@ class TestCli:
     def test_render_malformed_input(self, body, extra, tmp_path, capsys):
         # the first record's base sets the document's dimension
         n = body.split(b"\n")[1].count(b",") + 1
-        header = f"format=chromatile/coloring/v1\nkind=rect\nn={n}\npalette={','.join(palette(n))}"
+        box = f"origin={','.join(['0'] * n)}\nsizes={','.join(['1'] * n)}"
+        header = f"format=chromatile/coloring/v1\nkind=rect\nn={n}\n{box}\npalette={','.join(palette(n))}"
         doc = tmp_path / "bad.txt"
         doc.write_bytes(header.encode() + b"\n" + body)
         assert main(["render", "--in", str(doc), *extra]) == 1
