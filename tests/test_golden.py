@@ -25,6 +25,8 @@ INPUTS = {
     "genset": "n=1\n1\n2\n",
     "diag": "n=2\n1,0\n0,1\n1,1\n",
     "cube": "n=3\n1,0,0\n0,1,0\n0,0,1\n1,1,1\n",
+    # two levels whose k_1 = 2 is not 1, so beta*s has a nontrivial expansion
+    "skew": "n=2\n1,0\n1,2\n2,1\n",
     # a torus coloring that wraps along axis 2 only: its stubs on x = 0 print
     # x1="60" at the int end and x2="60.0" at the float end
     "wrap2": "format=chromatile/coloring/v1\nkind=torus\nn=2\nmoduli=3,3\n"
@@ -101,6 +103,18 @@ GOLDEN = [
     # the count and the first three witness lines
     ("labelings", ["lowerbound", "--moduli", "4,6", "--search", "labelings"], None,
      "c1a5e0a45542179f91cf4c0f46aa94ec0c0879bcf9006ebd5d85c47a0d4f5ecb"),
+    ("labelings-limit", ["lowerbound", "--moduli", "4,6", "--search", "labelings",
+                         "--limit", "5"], None,
+     "53e00d5e5d11be7925fa7b2c5f963c6567c155656358727efab0310ec151fa91"),
+    # 344 labelings on a generating set other than the standard one
+    ("labelings-genset", ["lowerbound", "--genset", "{diag}", "--symmetrize",
+                          "--moduli", "3,4", "--search", "labelings"], None,
+     "779d79da4573530ff776f8697c7811f0ac4289363d0dcf003659c356553a523e"),
+    # k_1=2, gamma=12, d=40562
+    ("decompose-skew", ["decompose", "{skew}", "--symmetrize"], None,
+     "9c54f73efac09f65084badf625a227f2ddf966ad7bfa6eb820450106d75dd6de"),
+    ("decompose-cube", ["decompose", "{cube}", "--symmetrize"], None,
+     "005e6d1de29ef2d046b9163947e3f4ec45a2a8f85b86b342a1d1658e7b9d5b94"),
 ]
 
 
