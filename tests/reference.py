@@ -22,12 +22,25 @@ Each one reads a definition literally and makes no claim to speed:
 * ``serialize_coloring`` and ``serialize_layered``: the document writers
   that group the records by base and sort them, and ``read_coloring``:
   the record reader that strips every field of every record, the
-  references for ``chromatile.document``'s frame walk and record loop.
+  references for ``chromatile.document``'s frame walk and record loop;
+* ``search_respecting_labelings``: backtracking that labels one vertex
+  at a time and checks each label against its neighbours, the
+  reference for the perfect-matching enumeration in
+  ``chromatile.lowerbound``;
+* ``orbit_reps_by_walk``: the least point of every orbit, found by
+  walking the whole torus in lex order, the reference for the coset
+  transversal that ``chromatile.layered.build_model`` reads off an HNF;
+* ``rational_coordinates``, ``solve_integer_combination`` and
+  ``smallest_multiple_in``: Gaussian elimination over the rationals,
+  the references for ``chromatile.lattice``'s solves through one
+  integer kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -41,10 +54,11 @@ from chromatile.document import (
     _int,
     fmt_vec,
 )
-from chromatile.errors import InfeasibleError, InvalidInputError
-from chromatile.grid import Edge, SchreierGraphView, Vertex
+from chromatile.errors import InfeasibleError, InvalidInputError, VerificationError
+from chromatile.grid import Edge, SchreierGraphView, Torus, Vertex
 from chromatile.lattice import (
     GeneratorSet,
+    SubgroupBasis,
     Vector,
     _pivot_col,
     canonical_rep,
@@ -52,7 +66,7 @@ from chromatile.lattice import (
     vneg,
 )
 from chromatile.layered import CosetModel
-from chromatile.lowerbound import TorusLabeling
+from chromatile.lowerbound import TorusLabeling, _check_moduli
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
 
 
@@ -429,3 +443,150 @@ def read_coloring(text: str) -> dict:
             raise InvalidInputError(f"the edge of record {line!r} appears twice")
         coloring[base, cls] = parts[2]
     return coloring
+
+
+def search_respecting_labelings(
+    torus: Torus, s: GeneratorSet, limit: Optional[int] = None
+) -> list[TorusLabeling]:
+    """Exhaustive backtracking over labelings that respect the patterns.
+
+    Assigning phi(v) = g forces phi(v + g) = -g, which prunes hard; the
+    search is exact, so an empty result is a proof of nonexistence.
+    A ``limit`` below 1 is rejected, since it would stop before the
+    first labeling and look like such a proof.
+    """
+    if limit is not None and limit < 1:
+        raise InvalidInputError(f"limit must be >= 1, got {limit}")
+    _check_moduli(torus, s)
+    vertices = sorted(torus.vertices())
+    generators = sorted(s.members)
+    found: list[TorusLabeling] = []
+    phi: dict[Vertex, Vector] = {}
+
+    def consistent(v: Vertex, g: Vector) -> bool:
+        w = torus.add(v, g)
+        if w in phi and phi[w] != vneg(g):
+            return False
+        for h in generators:
+            u = torus.add(v, vneg(h))
+            if phi.get(u) == h and g != vneg(h):
+                return False
+        return True
+
+    def rec(i: int) -> bool:
+        if limit is not None and len(found) >= limit:
+            return True
+        if i == len(vertices):
+            found.append(TorusLabeling.from_map(torus, dict(phi)))
+            return limit is not None and len(found) >= limit
+        v = vertices[i]
+        for g in generators:
+            if consistent(v, g):
+                phi[v] = g
+                if rec(i + 1):
+                    return True
+                del phi[v]
+        return False
+
+    rec(0)
+    return found
+
+
+def orbit_reps_by_walk(model: CosetModel) -> tuple[Vertex, ...]:
+    """The least point of every orbit of the level, in lex order, found by
+    walking every torus vertex and skipping those already seen."""
+    orbit_size = 1
+    for r in model.chart_moduli:
+        orbit_size *= r
+    seen: set[Vertex] = set()
+    reps = []
+    for v in model.ambient_torus().vertices():  # lex order, so each rep is its orbit's least point
+        if v in seen:
+            continue
+        reps.append(v)
+        points = model.orbit(v)
+        if len(points) != orbit_size:
+            raise VerificationError(
+                f"orbit of {v} has {len(points)} points, not {orbit_size}"
+            )
+        before = len(seen)
+        seen.update(points)
+        if len(seen) - before != orbit_size:
+            raise VerificationError("chart is not injective on the orbit")
+    return tuple(reps)
+
+
+def rational_coordinates(
+    v: Sequence[int], hnf_rows: Sequence[Vector]
+) -> Optional[list[Fraction]]:
+    """Coordinates of v w.r.t. HNF rows over Q, or None if outside the span."""
+    w = [Fraction(x) for x in v]
+    coords = []
+    for row in hnf_rows:
+        c = _pivot_col(row)
+        q = w[c] / row[c]
+        coords.append(q)
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    if any(w):
+        return None
+    return coords
+
+
+def solve_integer_combination(
+    vectors: Sequence[Vector], target: Vector
+) -> Optional[tuple[int, ...]]:
+    """Solve target = sum a_j * vectors[j] exactly over Z.
+
+    Returns None when no rational solution exists or the rational
+    solution is not integral.  The vectors are assumed independent over
+    Q, so the solution (if any) is unique.
+    """
+    m = len(vectors)
+    n = len(target)
+    # augmented system, one equation per ambient coordinate
+    rows = [[Fraction(vectors[j][r]) for j in range(m)] + [Fraction(target[r])]
+            for r in range(n)]
+    piv_rows: list[int] = []
+    r_used = [False] * n
+    for col in range(m):
+        sel = None
+        for r in range(n):
+            if not r_used[r] and rows[r][col]:
+                sel = r
+                break
+        if sel is None:
+            return None  # vectors were not independent
+        r_used[sel] = True
+        piv_rows.append(sel)
+        pivot = rows[sel][col]
+        for r in range(n):
+            if r != sel and rows[r][col]:
+                f = rows[r][col] / pivot
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[sel])]
+    # consistency of the remaining equations
+    for r in range(n):
+        if not r_used[r] and rows[r][m]:
+            return None
+    sol = []
+    for col, r in enumerate(piv_rows):
+        q = rows[r][m] / rows[r][col]
+        if q.denominator != 1:
+            return None
+        sol.append(int(q))
+    return tuple(sol)
+
+
+def smallest_multiple_in(v: Vector, subgroup: SubgroupBasis) -> int:
+    """Least k > 0 with k*v in the subgroup.
+
+    Requires v to lie in the rational span of the subgroup; a violation
+    indicates a broken layer decomposition upstream, so it raises.
+    """
+    coords = rational_coordinates(v, subgroup.basis)
+    if coords is None:
+        raise ValueError(f"{v} lies outside the rational span of the subgroup")
+    k = 1
+    for c in coords:
+        k = k * c.denominator // math.gcd(k, c.denominator)
+    return k

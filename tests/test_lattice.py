@@ -16,9 +16,12 @@ from chromatile.lattice import (
     integer_kernel,
     parse_generator_text,
     smallest_multiple_in,
+    solve_integer_combination,
     vscale,
 )
 from reference import is_linearly_independent, lattice_contains
+from reference import smallest_multiple_in as reference_smallest_multiple
+from reference import solve_integer_combination as reference_solve
 
 small_matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -81,6 +84,43 @@ class TestSmallestMultiple:
         l1 = SubgroupBasis.from_vectors(2, [(2, 0)])
         with pytest.raises(ValueError):
             smallest_multiple_in((0, 1), l1)
+
+
+@st.composite
+def solve_cases(draw):
+    """Up to n vectors in Z^n, n <= 3, and a target: an arbitrary vector,
+    mostly outside their span, or a combination of them, divided through
+    when it can be, so that its coordinates need not be integers."""
+    n = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=n))
+    if draw(st.booleans()):
+        return vectors, draw(st.tuples(*[st.integers(-9, 9)] * n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+    target = [sum(c * v[t] for c, v in zip(coeffs, vectors)) for t in range(n)]
+    den = draw(st.integers(1, 3))
+    if all(x % den == 0 for x in target):
+        target = [x // den for x in target]
+    return vectors, tuple(target)
+
+
+def _multiple_or_error(smallest, v, subgroup):
+    try:
+        return smallest(v, subgroup)
+    except ValueError:
+        return "ValueError"
+
+
+class TestSolves:
+    @given(solve_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_match_rational_elimination(self, case):
+        """The integer-kernel solves give the answers of Gaussian elimination
+        over the rationals, inside and outside the span."""
+        vectors, target = case
+        assert solve_integer_combination(vectors, target) == reference_solve(vectors, target)
+        subgroup = SubgroupBasis.from_vectors(len(target), vectors)
+        assert _multiple_or_error(smallest_multiple_in, target, subgroup) == (
+            _multiple_or_error(reference_smallest_multiple, target, subgroup))
 
 
 class TestIndependence:

@@ -3,9 +3,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chromatile import layered
-from chromatile.errors import ColorConflictError, InfeasibleError
+from chromatile.errors import ColorConflictError, InfeasibleError, InvalidInputError
 from chromatile.grid import Torus, adjacent_edges, edges_in
 from chromatile.lattice import GeneratorSet, decompose_with_constants, vscale
 from chromatile.layered import (
@@ -17,7 +19,7 @@ from chromatile.layered import (
     verify_layered,
 )
 from chromatile.tiling import brick_tiling, color_tiling
-from reference import to_ambient
+from reference import orbit_reps_by_walk, to_ambient
 
 S_ONE_TWO = GeneratorSet.from_vectors([(1,), (2,)])
 S_DIAG = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)])
@@ -85,6 +87,31 @@ class TestBuildModel:
             chart = list(product(*[range(r) for r in model.chart_moduli]))
             for rep in model.reps:
                 assert model.orbit(rep) == [to_ambient(model, rep, z) for z in chart]
+
+
+@st.composite
+def model_cases(draw):
+    """The standard basis of Z^n, n <= 3, with one or two more small vectors,
+    on moduli of 3..9; d = 2 splits every circumference of 3 or more."""
+    n = draw(st.integers(1, 3))
+    extra = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n).filter(any),
+                          min_size=1, max_size=2))
+    s = GeneratorSet.from_vectors(list(GeneratorSet.standard(n).members) + extra)
+    moduli = tuple(draw(st.lists(st.integers(3, 9), min_size=n, max_size=n)))
+    try:
+        return build_model(s, decompose_with_constants(s), moduli, d_override=2)
+    except (InfeasibleError, InvalidInputError):
+        assume(False)
+
+
+class TestOrbitRepresentatives:
+    @settings(max_examples=150, deadline=None)
+    @given(model_cases())
+    def test_match_the_walk(self, models):
+        """Every level's representatives are the least points of its orbits,
+        in lex order, as a walk over the whole torus finds them."""
+        for model in models:
+            assert model.reps == orbit_reps_by_walk(model)
 
 
 class TestRunLayered:

@@ -25,6 +25,7 @@ from reference import (
     respects,
     vertices,
 )
+from reference import search_respecting_labelings as reference_search
 
 S1 = GeneratorSet.standard(1)
 S2 = GeneratorSet.standard(2)
@@ -140,6 +141,38 @@ class TestRespects:
         assert len(search_respecting_labelings(Torus((4,)), S1)) == 2
         with pytest.raises(InvalidInputError):
             search_respecting_labelings(Torus((4,)), S1, limit=limit)
+
+
+@st.composite
+def labeling_cases(draw):
+    """A torus of n <= 2 axes and at most 16 vertices, a symmetric S of one or
+    two residue pairs, and a limit that may be absent."""
+    q1 = draw(st.integers(1, 16))
+    moduli = (q1,) + tuple(draw(st.lists(st.integers(1, 16 // q1), max_size=1)))
+    torus = Torus(moduli)
+    neg = {x: torus.reduce(tuple(-c for c in x)) for x in torus.vertices()}
+    reps = sorted({min(x, y) for x, y in neg.items() if x != y})
+    assume(reps)
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, max_size=2, unique=True))
+    limit = draw(st.none() | st.integers(1, 40))
+    return torus, GeneratorSet.from_vectors(chosen), limit
+
+
+class TestLabelingSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(labeling_cases())
+    def test_matches_reference(self, case):
+        """The same labelings in the same order as the vertex-by-vertex
+        backtracking, under any limit."""
+        assert _found_or_error(search_respecting_labelings, case) == _found_or_error(
+            reference_search, case)
+
+
+def _found_or_error(search, case):
+    try:
+        return search(*case)
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc}"
 
 
 @st.composite
