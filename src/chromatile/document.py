@@ -101,6 +101,8 @@ def _frame(kind: str, n: int, meta: dict[str, str]) -> tuple[list[range], str]:
         moduli = _field(meta, "moduli", parse_vec)
         if len(moduli) != n:
             raise InvalidInputError(f"moduli= does not fit dimension {n}")
+        if min(moduli) < 1:
+            raise InvalidInputError(f"moduli= {fmt_vec(moduli)} has a modulus below 1")
         return [range(q) for q in moduli], f"the torus {fmt_vec(moduli)}"
     if kind != "rect":
         raise InvalidInputError(f"unknown document kind {kind!r}")

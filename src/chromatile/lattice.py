@@ -1,9 +1,9 @@
 """Integer-lattice algebra over Z^n.
 
-Everything here is exact integer (or rational) arithmetic on tuples of
-Python ints, so there is no overflow to worry about: the marker distance
-``d`` produced by :func:`compute_constants` easily exceeds 64 bits for
-large generating sets.
+Everything here is exact integer arithmetic on tuples of Python ints,
+so there is no overflow to worry about: the marker distance ``d``
+produced by :func:`compute_constants` easily exceeds 64 bits for large
+generating sets.
 
 The central objects are symmetric generating sets of Z^n and their
 greedy decomposition into layers, where each layer is a maximal
@@ -13,13 +13,18 @@ the zero vector; for torsion-free Z^n this is equivalent to the lex
 positive representatives of the +/- pairs being linearly independent
 over Q, which is how :func:`decompose` decides it (a rational
 dependence scales to an integer relation and conversely).
+
+Every question rests on the Hermite normal form.  Ranks come from its
+row count, and the two solves -- the least multiple of a vector inside
+a subgroup, and the coordinates of a vector in an independent basis --
+read their answer off the one primitive relation that
+:func:`integer_kernel` finds among the columns (basis..., v).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError, VerificationError
@@ -131,67 +136,6 @@ def lattice_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(hermite_normal_form(rows))
 
 
-def rational_coordinates(
-    v: Sequence[int], hnf_rows: Sequence[Vector]
-) -> Optional[list[Fraction]]:
-    """Coordinates of v w.r.t. HNF rows over Q, or None if outside the span."""
-    w = [Fraction(x) for x in v]
-    coords = []
-    for row in hnf_rows:
-        c = _pivot_col(row)
-        q = w[c] / row[c]
-        coords.append(q)
-        if q:
-            w = [a - q * b for a, b in zip(w, row)]
-    if any(w):
-        return None
-    return coords
-
-
-def solve_integer_combination(
-    vectors: Sequence[Vector], target: Vector
-) -> Optional[tuple[int, ...]]:
-    """Solve target = sum a_j * vectors[j] exactly over Z.
-
-    Returns None when no rational solution exists or the rational
-    solution is not integral.  The vectors are assumed independent over
-    Q, so the solution (if any) is unique.
-    """
-    m = len(vectors)
-    n = len(target)
-    # augmented system, one equation per ambient coordinate
-    rows = [[Fraction(vectors[j][r]) for j in range(m)] + [Fraction(target[r])]
-            for r in range(n)]
-    piv_rows: list[int] = []
-    r_used = [False] * n
-    for col in range(m):
-        sel = None
-        for r in range(n):
-            if not r_used[r] and rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return None  # vectors were not independent
-        r_used[sel] = True
-        piv_rows.append(sel)
-        pivot = rows[sel][col]
-        for r in range(n):
-            if r != sel and rows[r][col]:
-                f = rows[r][col] / pivot
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[sel])]
-    # consistency of the remaining equations
-    for r in range(n):
-        if not r_used[r] and rows[r][m]:
-            return None
-    sol = []
-    for col, r in enumerate(piv_rows):
-        q = rows[r][m] / rows[r][col]
-        if q.denominator != 1:
-            return None
-        sol.append(int(q))
-    return tuple(sol)
-
-
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     """Basis of {x in Z^ncols : M x = 0} for the matrix M given by ``rows``.
 
@@ -239,19 +183,44 @@ class SubgroupBasis:
         return self.basis == ident
 
 
+def _relation(vectors: Sequence[Vector], v: Vector) -> Optional[Vector]:
+    """The integer relations x with sum_j x_j * vectors[j] + x_last * v = 0,
+    when they are the multiples of one primitive x; None otherwise."""
+    rows = [[u[r] for u in vectors] + [v[r]] for r in range(len(v))]
+    kernel = integer_kernel(rows, len(vectors) + 1)
+    return kernel[0] if len(kernel) == 1 else None
+
+
+def solve_integer_combination(
+    vectors: Sequence[Vector], target: Vector
+) -> Optional[tuple[int, ...]]:
+    """Solve target = sum a_j * vectors[j] exactly over Z.
+
+    The relations among the columns (vectors..., target) are the
+    multiples of one primitive x exactly when the vectors are
+    independent and the target lies in their rational span; an integer
+    solution exists exactly when x ends in +-1, and then it is unique.
+    Returns None otherwise, dependent vectors included.
+    """
+    x = _relation(vectors, target)
+    if x is None or abs(x[-1]) != 1:
+        return None
+    return tuple(-x[-1] * a for a in x[:-1])
+
+
 def smallest_multiple_in(v: Vector, subgroup: SubgroupBasis) -> int:
     """Least k > 0 with k*v in the subgroup.
 
-    Requires v to lie in the rational span of the subgroup; a violation
-    indicates a broken layer decomposition upstream, so it raises.
+    k*v lies in the subgroup exactly when (-a, k) is a relation among
+    the columns (basis..., v), so k is the last entry of the primitive
+    relation, up to sign.  Requires v to lie in the rational span of the
+    subgroup; a violation indicates a broken layer decomposition
+    upstream, so it raises.
     """
-    coords = rational_coordinates(v, subgroup.basis)
-    if coords is None:
+    x = _relation(subgroup.basis, v)
+    if x is None or not x[-1]:
         raise ValueError(f"{v} lies outside the rational span of the subgroup")
-    k = 1
-    for c in coords:
-        k = k * c.denominator // math.gcd(k, c.denominator)
-    return k
+    return abs(x[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ colorings apply whenever the magnitude check passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -135,6 +137,11 @@ def build_model(
     orbits really are product tori), and that every chart circumference
     splits into parts of d and d+1 vertices.  Diagnostics name the
     failing level and circumference.
+
+    A level's orbits are the cosets of the lattice spanned by its basis
+    and every q_t * e_t.  With p_t the pivots of that lattice's HNF, the
+    points with 0 <= x_t < p_t are the least points of the orbits, in
+    lex order; they must number |V| / orbit size, else VerificationError.
     """
     torus = Torus(tuple(int(q) for q in moduli))
     SchreierGraphView(torus, s)  # raises when the action degenerates
@@ -142,14 +149,12 @@ def build_model(
 
     models = []
     n = s.dimension
+    # q_t * e_t for every axis t
+    axes = [tuple(q if t == r else 0 for t in range(n)) for r, q in enumerate(torus.moduli)]
     for level in range(dec.level_count + 1):
         basis = tuple(dec.layer_reps(level))
         ni = len(basis)
-        rows = []
-        for r in range(n):
-            row = [basis[j][r] for j in range(ni)]
-            row += [-torus.moduli[r] if t == r else 0 for t in range(n)]
-            rows.append(row)
+        rows = [[b[r] for b in basis] + [-x for x in axes[r]] for r in range(n)]
         kernel = [vec[:ni] for vec in integer_kernel(rows, ni + n)]
         kernel_hnf = hermite_normal_form(kernel)
         diagonal = len(kernel_hnf) == ni and all(
@@ -176,29 +181,19 @@ def build_model(
                     f"a sum of {d} and {d + 1} parts"
                 ) from exc
 
-        orbit_size = 1
-        for r in chart_moduli:
-            orbit_size *= r
-        model = CosetModel(
-            level, torus.moduli, basis, chart_moduli, (),
+        # one point per coset: the HNF is triangular with pivot p_t in column t
+        span = hermite_normal_form(list(basis) + axes)
+        reps = tuple(product(*[range(row[t]) for t, row in enumerate(span)]))
+        orbit_size = math.prod(chart_moduli)
+        if len(reps) * orbit_size != torus.vertex_count():
+            raise VerificationError(
+                f"level {level}: {len(reps)} orbits of {orbit_size} points do not "
+                f"cover the {torus.vertex_count()} vertices"
+            )
+        models.append(CosetModel(
+            level, torus.moduli, basis, chart_moduli, reps,
             _orbit_offsets(torus.moduli, basis, chart_moduli),
-        )
-        seen: set[Vertex] = set()
-        reps = []
-        for v in torus.vertices():  # lex order, so each rep is its orbit's least point
-            if v in seen:
-                continue
-            reps.append(v)
-            points = model.orbit(v)
-            if len(points) != orbit_size:
-                raise VerificationError(
-                    f"orbit of {v} has {len(points)} points, not {orbit_size}"
-                )
-            before = len(seen)
-            seen.update(points)
-            if len(seen) - before != orbit_size:
-                raise VerificationError("chart is not injective on the orbit")
-        models.append(replace(model, reps=tuple(reps)))
+        ))
     return models
 
 

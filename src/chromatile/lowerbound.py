@@ -4,9 +4,10 @@ A proper |S|-edge-coloring of an |S|-regular graph splits into perfect
 matchings, one per color.  A labeling phi of a torus by generators
 induces the edge set {x, phi(x).x}; it is a perfect matching exactly
 when phi avoids the 2m(2m-1) two-point patterns that pair a step u_i
-with a wrong return step.  Odd tori have no perfect matching at all, so
-exhaustive pattern searches on them come up empty and their chromatic
-index exceeds the degree.
+with a wrong return step.  So the labeling search enumerates perfect
+matchings of the Schreier graph directly.  Odd tori have no perfect
+matching at all, so exhaustive pattern searches on them come up empty
+and their chromatic index exceeds the degree.
 
 Whether a torus has a perfect matching at all follows from the orders
 of the generators, with no graph search.
@@ -39,6 +40,9 @@ class TorusLabeling:
         missing = [v for v in torus.vertices() if v not in phi]
         if missing:
             raise InvalidInputError(f"labeling misses vertex {missing[0]}")
+        off = [v for v in phi if torus.reduce(v) != v]
+        if off:
+            raise InvalidInputError(f"labeling labels {off[0]}, not a torus vertex")
         return cls(torus, tuple(sorted(phi.items())))
 
     def mapping(self) -> dict[Vertex, Vector]:
@@ -65,55 +69,50 @@ def _check_moduli(torus: Torus, s: GeneratorSet) -> None:
 
 
 def respects_matching(labeling: TorusLabeling, s: GeneratorSet) -> bool:
-    """True when the labeling avoids every matching pattern: for every
-    x, phi(x + phi(x)) = -phi(x)."""
+    """True when every label is a member of S and the labeling avoids
+    every matching pattern: for every x, phi(x + phi(x)) = -phi(x)."""
     torus = labeling.torus
     _check_moduli(torus, s)
     phi = labeling.mapping()
-    return all(phi[torus.add(x, g)] == vneg(g) for x, g in phi.items())
+    return s.members.issuperset(phi.values()) and all(
+        phi[torus.add(x, g)] == vneg(g) for x, g in phi.items())
 
 
 def search_respecting_labelings(
     torus: Torus, s: GeneratorSet, limit: Optional[int] = None
 ) -> list[TorusLabeling]:
-    """Exhaustive backtracking over labelings that respect the patterns.
+    """Every labeling that respects the patterns, in lex order.
 
-    Assigning phi(v) = g forces phi(v + g) = -g, which prunes hard; the
-    search is exact, so an empty result is a proof of nonexistence.
-    A ``limit`` below 1 is rejected, since it would stop before the
-    first labeling and look like such a proof.
+    Such a labeling is a perfect matching, each edge {v, v + g} labelled
+    g at v and -g at v + g.  The search matches the least unmatched v to
+    each unmatched v + g, g in sorted order.  It is exact, so an empty
+    result is a proof of nonexistence.  A ``limit`` below 1 is rejected,
+    since it would stop before the first labeling and look like such a
+    proof.
     """
     if limit is not None and limit < 1:
         raise InvalidInputError(f"limit must be >= 1, got {limit}")
     _check_moduli(torus, s)
     vertices = sorted(torus.vertices())
-    generators = sorted(s.members)
+    index = {v: i for i, v in enumerate(vertices)}
+    # per vertex: (g, -g, index of v + g), g in sorted order
+    moves = [[(g, vneg(g), index[torus.add(v, g)]) for g in s] for v in vertices]
+    label: list[Optional[Vector]] = [None] * len(vertices)
     found: list[TorusLabeling] = []
-    phi: dict[Vertex, Vector] = {}
-
-    def consistent(v: Vertex, g: Vector) -> bool:
-        w = torus.add(v, g)
-        if w in phi and phi[w] != vneg(g):
-            return False
-        for h in generators:
-            u = torus.add(v, vneg(h))
-            if phi.get(u) == h and g != vneg(h):
-                return False
-        return True
 
     def rec(i: int) -> bool:
-        if limit is not None and len(found) >= limit:
-            return True
-        if i == len(vertices):
-            found.append(TorusLabeling.from_map(torus, dict(phi)))
+        while i < len(label) and label[i] is not None:
+            i += 1
+        if i == len(label):
+            found.append(TorusLabeling(torus, tuple(zip(vertices, label))))
             return limit is not None and len(found) >= limit
-        v = vertices[i]
-        for g in generators:
-            if consistent(v, g):
-                phi[v] = g
+        for g, h, j in moves[i]:
+            if label[j] is None:
+                label[i], label[j] = g, h
                 if rec(i + 1):
                     return True
-                del phi[v]
+                label[j] = None
+        label[i] = None
         return False
 
     rec(0)

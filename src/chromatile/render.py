@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .document import ColoringDocument
+from .document import ColoringDocument, _frame
 from .errors import InvalidInputError
 
 _UNIT = 40
@@ -32,7 +32,8 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
     """Render the document, with ``slices`` pinning axes to values.
 
     The axes not pinned must number exactly two; the first free axis
-    runs right, the second runs up.
+    runs right, the second runs up.  The frame comes from the document
+    header, as the reader takes it, and an edge off it raises.
     """
     slices = dict(slices or {})
     for ax in slices:
@@ -46,15 +47,21 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         )
     h_ax, v_ax = free
 
-    moduli = None
-    if doc.kind == "torus":
-        moduli = tuple(int(x) for x in doc.meta["moduli"].split(","))
+    ranges, name = _frame(doc.kind, doc.n, doc.meta)
+    moduli = [r.stop for r in ranges] if doc.kind == "torus" else None
+    # an edge past the slice filter holds the slice values, so those are
+    # checked once here; if one lies off the frame, so does every such edge
+    h_range, v_range = ranges[h_ax - 1], ranges[v_ax - 1]
+    if not all(val in ranges[ax - 1] for ax, val in slices.items()):
+        h_range = v_range = range(0)
 
     segments = []  # (x1, y1, x2, y2, color-name)
     for (base, axis), color in sorted(doc.coloring.items()):
         if slices and (axis in slices or any(base[ax - 1] != val for ax, val in slices.items())):
             continue
         x, y = base[h_ax - 1], base[v_ax - 1]
+        if x not in h_range or y not in v_range:
+            raise InvalidInputError(f"edge {(base, axis)} lies off {name}")
         dx = 1 if axis == h_ax else 0
         dy = 1 if axis == v_ax else 0
         wraps = moduli is not None and base[axis - 1] == moduli[axis - 1] - 1

@@ -56,6 +56,8 @@ MALFORMED_COLORING = [
     ("rect", "edges=4\n", "edges=four\n", "bad edges= header 'four'"),
     ("torus", "moduli=13\n", "", "missing moduli= header"),
     ("torus", "moduli=13\n", "moduli=13,13\n", "moduli= does not fit dimension 1"),
+    ("torus", "n=1\nmoduli=13\n", "n=2\nmoduli=0,3\n", "moduli= 0,3 has a modulus below 1"),
+    ("torus", "n=1\nmoduli=13\n", "n=2\nmoduli=-2,3\n", "moduli= -2,3 has a modulus below 1"),
     ("torus", "\n0 ; 1 ; 1\n", "\n13 ; 1 ; 1\n",  # base off the torus
      "record '13 ; 1 ; 1' has a base off the torus 13"),
     ("torus", "\n0 ; 1 ; 1\n", "\n-1 ; 1 ; 1\n",
@@ -105,6 +107,7 @@ MALFORMED_LAYERED = [
     ("\n0 ; 1 ; p1@0\n", "\n-1 ; 1 ; p1@0\n",
      "record '-1 ; 1 ; p1@0' has a base off the torus 37"),
     ("moduli=37\n", "moduli=37,37\n", "moduli= does not fit dimension 1"),
+    ("moduli=37\n", "moduli=0\n", "moduli= 0 has a modulus below 1"),
 ]
 
 
@@ -398,6 +401,25 @@ class TestRender:
             render_svg(doc)  # three free axes
         svg = render_svg(doc, {3: 1})
         assert "<line" in svg
+
+    def test_torus_without_moduli_rejected(self):
+        doc = ColoringDocument("torus", 2, {}, palette(2), {((0, 0), 1): "1"})
+        with pytest.raises(InvalidInputError) as err:
+            render_svg(doc)
+        assert str(err.value) == "missing moduli= header"
+
+    @pytest.mark.parametrize("key,slices", [
+        (((5, 0), 1), {}),
+        (((0, -1), 2), {}),
+        (((0, 0, 7), 1), {3: 7}),  # off the frame on the sliced axis only
+    ])
+    def test_edge_off_the_torus_rejected(self, key, slices):
+        n = len(key[0])
+        meta = {"moduli": ",".join(["3"] * n)}
+        doc = ColoringDocument("torus", n, meta, palette(n), {key: "1"})
+        with pytest.raises(InvalidInputError) as err:
+            render_svg(doc, slices)
+        assert str(err.value) == f"edge {key} lies off the torus {meta['moduli']}"
 
     def test_torus_wrap_stubs(self):
         tiling = brick_tiling(Torus((13, 13)), 6)

@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chromatile import layered
-from chromatile.errors import ColorConflictError, InfeasibleError, InvalidInputError
+from chromatile.errors import (
+    ColorConflictError,
+    InfeasibleError,
+    InvalidInputError,
+    VerificationError,
+)
 from chromatile.grid import Torus, adjacent_edges, edges_in
 from chromatile.lattice import GeneratorSet, decompose_with_constants, vscale
 from chromatile.layered import (
@@ -112,6 +117,15 @@ class TestOrbitRepresentatives:
         in lex order, as a walk over the whole torus finds them."""
         for model in models:
             assert model.reps == orbit_reps_by_walk(model)
+
+    def test_count_check(self, monkeypatch):
+        # one representative short: the orbits no longer cover the torus
+        real = layered.product
+        monkeypatch.setattr(layered, "product", lambda *ranges: list(real(*ranges))[1:])
+        dec = decompose_with_constants(S_DIAG)
+        with pytest.raises(VerificationError) as err:
+            build_model(S_DIAG, dec, (13, 13), d_override=6)
+        assert str(err.value) == "level 0: 0 orbits of 169 points do not cover the 169 vertices"
 
 
 class TestRunLayered:

@@ -65,6 +65,26 @@ class TestRespects:
         assert not respects(lab, matching_patterns(S1), S1)
         assert not respects_matching(lab, S1)
 
+    @pytest.mark.parametrize("labels", [
+        [(3,), (3,), (3,), (-3,), (-3,), (-3,)],  # pairs x with x + 3
+        [(7,), (-7,)] * 3,  # acts as the alternating ring, with labels not in S
+    ])
+    def test_labels_outside_s_fail(self, labels):
+        torus = Torus((6,))
+        lab = TorusLabeling.from_map(torus, {(i,): g for i, g in enumerate(labels)})
+        # every x satisfies phi(x + phi(x)) = -phi(x); only membership fails
+        assert all(lab.mapping()[torus.add(x, g)] == (-g[0],) for x, g in lab.phi)
+        assert not respects_matching(lab, S1)
+
+    def test_key_off_the_torus_rejected(self):
+        phi = {(i,): (1,) if i % 2 == 0 else (-1,) for i in range(4)}
+        with pytest.raises(InvalidInputError) as err:
+            TorusLabeling.from_map(Torus((4,)), {**phi, (9,): (1,)})
+        assert str(err.value) == "labeling labels (9,), not a torus vertex"
+        with pytest.raises(InvalidInputError) as err:
+            TorusLabeling.from_map(Torus((4,)), {(0,): (1,)})
+        assert str(err.value) == "labeling misses vertex (1,)"
+
     def test_triangle_exhaustive(self):
         assert search_respecting_labelings(Torus((3,)), S1) == []
 
