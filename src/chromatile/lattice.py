@@ -212,13 +212,13 @@ def smallest_multiple_in(v: Vector, subgroup: SubgroupBasis) -> int:
     """Least k > 0 with k*v in the subgroup.
 
     k*v lies in the subgroup exactly when (-a, k) is a relation among
-    the columns (basis..., v), so k is the last entry of the primitive
-    relation, up to sign.  Requires v to lie in the rational span of the
-    subgroup; a violation indicates a broken layer decomposition
-    upstream, so it raises.
+    the columns (basis..., v).  The HNF rows are independent, so such
+    relations exist exactly when v lies in the rational span, and k is
+    the last entry of the primitive one, up to sign.  Outside the span
+    points to a broken layer decomposition upstream, so it raises.
     """
     x = _relation(subgroup.basis, v)
-    if x is None or not x[-1]:
+    if x is None:
         raise ValueError(f"{v} lies outside the rational span of the subgroup")
     return abs(x[-1])
 
