@@ -60,8 +60,8 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
         if slices and (axis in slices or any(base[ax - 1] != val for ax, val in slices.items())):
             continue
         x, y = base[h_ax - 1], base[v_ax - 1]
-        if x not in h_range or y not in v_range:
-            raise InvalidInputError(f"edge {(base, axis)} lies off {name}")
+        if x not in h_range or y not in v_range or axis not in free:
+            raise InvalidInputError(f"edge {(base, axis)} lies off {name} or has a class it lacks")
         dx = 1 if axis == h_ax else 0
         dy = 1 if axis == v_ax else 0
         wraps = moduli is not None and base[axis - 1] == moduli[axis - 1] - 1

@@ -412,14 +412,17 @@ class TestRender:
         (((5, 0), 1), {}),
         (((0, -1), 2), {}),
         (((0, 0, 7), 1), {3: 7}),  # off the frame on the sliced axis only
+        (((0, 0), 3), {}),  # no such axis
+        (((0, 0), 0), {}),
     ])
-    def test_edge_off_the_torus_rejected(self, key, slices):
+    def test_edge_off_the_frame_rejected(self, key, slices):
         n = len(key[0])
         meta = {"moduli": ",".join(["3"] * n)}
         doc = ColoringDocument("torus", n, meta, palette(n), {key: "1"})
         with pytest.raises(InvalidInputError) as err:
             render_svg(doc, slices)
-        assert str(err.value) == f"edge {key} lies off the torus {meta['moduli']}"
+        assert str(err.value) == (
+            f"edge {key} lies off the torus {meta['moduli']} or has a class it lacks")
 
     def test_torus_wrap_stubs(self):
         tiling = brick_tiling(Torus((13, 13)), 6)
