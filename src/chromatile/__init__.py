@@ -5,8 +5,10 @@ Schreier graphs built here admit proper edge colorings with |S| + 1
 colors that are *local*: each tiling region's colors depend only on its
 size and core shift, never on its position.  The package constructs
 those colorings at finite-torus scale, verifies every one it emits, and
-ships brute-force witnesses for the matching lower bound that shows the
-extra color is unavoidable for position-independent colorings.
+ships finite witnesses for the matching lower bound that shows the
+extra color is unavoidable for position-independent colorings: an exact
+search for pattern-respecting labelings, and the generator-parity rule
+that decides perfect matchings and the chromatic index.
 """
 
 from .errors import (

@@ -198,14 +198,14 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     elif args.search == "labelings":
         hits = search_respecting_labelings(torus, s, limit=args.limit)
         witnesses = hits[:3]
-        if not all(respects_matching(lab, s) for lab in witnesses):
+        if not all(respects_matching(torus, phi, s) for phi in witnesses):
             raise VerificationError("a labeling found breaks a matching pattern")
         print(f"patterns={pattern_count(s)} respecting_labelings="
               f"{'>=' if len(hits) == args.limit else ''}{len(hits)}")
-        for lab in witnesses:
+        for phi in witnesses:
             print("witness: " + " ".join(
                 f"{','.join(map(str, v))}->{','.join(map(str, g))}"
-                for v, g in lab.phi
+                for v, g in phi.items()
             ))
     elif args.search == "chi":
         if args.k_max is not None and args.k_max < 1:

@@ -205,15 +205,6 @@ class SchreierGraphView:
                 )
             seen[image] = u
 
-    def edge_keys(self) -> list[tuple[Vertex, Vector]]:
-        """Canonical edges (base, step) with step the lex positive generator."""
-        reps = self.generators.pairs()
-        return sorted((x, u) for x in self.domain.vertices() for u in reps)
-
-    def edge_endpoints(self, key: tuple[Vertex, Vector]) -> tuple[Vertex, Vertex]:
-        base, step = key
-        return base, self.domain.add(base, step)
-
 
 # ---------------------------------------------------------------------------
 # one-pass certification kernel

@@ -17,6 +17,13 @@ Each one reads a definition literally and makes no claim to speed:
 * ``maximum_matching_size_exhaustive``: branch-and-memoize maximum
   matching over the graph's ``vertices`` and ``neighbors``, the
   reference for ``has_perfect_matching``'s rule on generator orders;
+* ``edge_keys`` and ``edge_endpoints``: every edge of a Schreier graph
+  as a (base, lex positive generator) key, and the key's two vertices;
+* ``chromatic_index_by_search`` and ``_edge_colorable``: the least k
+  that admits a proper edge k-coloring, found by backtracking over
+  ``edge_keys`` with fail-first ordering and the colors around one
+  vertex pinned, the reference for ``chromatile.lowerbound``'s
+  ``chromatic_index``, which reads chi' off generator parity;
 * ``render_svg``: the straightforward SVG renderer that formats every
   segment end on its own, the reference for ``chromatile.render``;
 * ``serialize_coloring`` and ``serialize_layered``: the document writers
@@ -66,7 +73,7 @@ from chromatile.lattice import (
     vneg,
 )
 from chromatile.layered import CosetModel
-from chromatile.lowerbound import TorusLabeling, _check_moduli
+from chromatile.lowerbound import _check_moduli
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
 
 
@@ -184,20 +191,19 @@ def matching_patterns(s: GeneratorSet) -> list[SftPattern]:
 
 
 def respects(
-    labeling: TorusLabeling, patterns: Sequence[SftPattern], s: GeneratorSet
+    torus: Torus, phi: dict[Vertex, Vector], patterns: Sequence[SftPattern], s: GeneratorSet
 ) -> bool:
-    """True when no pattern occurs in the periodic pullback of the labeling.
+    """True when no pattern occurs in the periodic pullback of the labeling
+    phi, a map from every torus vertex to a generator.
 
     A pattern occurs at a torus point v when every support point f
     satisfies phi((v + f) mod q) = label(f).  Moduli no larger than the
     supports' reach, or that merge generators, are rejected.
     """
-    torus = labeling.torus
     reach = max((abs(x) for p in patterns for point in p.support for x in point), default=0)
     if any(q <= reach for q in torus.moduli):
         raise InfeasibleError(f"moduli {torus.moduli} too small: pattern supports reach {reach}")
     SchreierGraphView(torus, s)
-    phi = labeling.mapping()
     for pattern in patterns:
         for v in torus.vertices():
             if all(phi[torus.add(v, f)] == lab for f, lab in pattern.entries):
@@ -236,6 +242,106 @@ def maximum_matching_size_exhaustive(view: SchreierGraphView) -> int:
         return out
 
     return best(frozenset(range(len(verts))))
+
+
+def edge_keys(view: SchreierGraphView) -> list[tuple[Vertex, Vector]]:
+    """Canonical edges (base, step) with step the lex positive generator."""
+    reps = view.generators.pairs()
+    return sorted((x, u) for x in view.domain.vertices() for u in reps)
+
+
+def edge_endpoints(view: SchreierGraphView, key: tuple[Vertex, Vector]) -> tuple[Vertex, Vertex]:
+    base, step = key
+    return base, view.domain.add(base, step)
+
+
+def _edge_colorable(
+    edges: list[tuple[Vertex, Vertex]],
+    incident: dict[Vertex, list[int]],
+    k: int,
+    pinned: list[int],
+) -> bool:
+    """Backtracking edge-coloring decision with fail-first ordering."""
+    color = [0] * len(edges)
+    used: dict[Vertex, set[int]] = {v: set() for v in incident}
+
+    def assign(i: int, c: int) -> None:
+        color[i] = c
+        for v in edges[i]:
+            used[v].add(c)
+
+    def unassign(i: int) -> None:
+        c = color[i]
+        color[i] = 0
+        for v in edges[i]:
+            used[v].discard(c)
+
+    # fix the colors around the first vertex: any proper coloring can be
+    # relabeled to match, which kills the k! color symmetry
+    for c, i in enumerate(pinned, start=1):
+        if c > k:
+            return False
+        a, b = edges[i]
+        if c in used[a] or c in used[b]:
+            return False
+        assign(i, c)
+
+    order = [i for i in range(len(edges)) if color[i] == 0]
+
+    def candidates(i: int) -> list[int]:
+        a, b = edges[i]
+        taken = used[a] | used[b]
+        return [c for c in range(1, k + 1) if c not in taken]
+
+    def rec(remaining: list[int]) -> bool:
+        if not remaining:
+            return True
+        best_i, best_c = None, None
+        for i in remaining:
+            cs = candidates(i)
+            if best_c is None or len(cs) < len(best_c):
+                best_i, best_c = i, cs
+                if not cs:
+                    return False
+                if len(cs) == 1:
+                    break
+        rest = [i for i in remaining if i != best_i]
+        for c in best_c:
+            assign(best_i, c)
+            if rec(rest):
+                return True
+            unassign(best_i)
+        return False
+
+    return rec(order)
+
+
+def chromatic_index_by_search(view: SchreierGraphView, k_max: int) -> Optional[int]:
+    """Least k <= k_max admitting a proper edge k-coloring, else None.
+
+    Exact backtracking search starting at the maximum degree, with the
+    colors around one vertex pinned to break color symmetry.  A regular
+    graph of odd order starts one higher: each color class of a
+    max-degree coloring would be a perfect matching.
+    """
+    keys = edge_keys(view)
+    edges = [edge_endpoints(view, key) for key in sorted(keys)]
+    incident: dict[Vertex, list[int]] = {}
+    for i, (a, b) in enumerate(edges):
+        incident.setdefault(a, []).append(i)
+        incident.setdefault(b, []).append(i)
+    if not edges:
+        return 0
+    max_degree = max(len(v) for v in incident.values())
+    start = max_degree
+    if len(incident) % 2 and all(len(v) == max_degree for v in incident.values()):
+        start += 1
+    v0 = min(incident)
+    pinned = incident[v0]
+    for k in range(start, k_max + 1):
+        if _edge_colorable(edges, incident, k, pinned):
+            return k
+    return None
 
 
 def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> str:
@@ -447,7 +553,7 @@ def read_coloring(text: str) -> dict:
 
 def search_respecting_labelings(
     torus: Torus, s: GeneratorSet, limit: Optional[int] = None
-) -> list[TorusLabeling]:
+) -> list[dict[Vertex, Vector]]:
     """Exhaustive backtracking over labelings that respect the patterns.
 
     Assigning phi(v) = g forces phi(v + g) = -g, which prunes hard; the
@@ -460,7 +566,7 @@ def search_respecting_labelings(
     _check_moduli(torus, s)
     vertices = sorted(torus.vertices())
     generators = sorted(s.members)
-    found: list[TorusLabeling] = []
+    found: list[dict[Vertex, Vector]] = []
     phi: dict[Vertex, Vector] = {}
 
     def consistent(v: Vertex, g: Vector) -> bool:
@@ -477,7 +583,7 @@ def search_respecting_labelings(
         if limit is not None and len(found) >= limit:
             return True
         if i == len(vertices):
-            found.append(TorusLabeling.from_map(torus, dict(phi)))
+            found.append(dict(phi))
             return limit is not None and len(found) >= limit
         v = vertices[i]
         for g in generators:

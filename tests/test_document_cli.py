@@ -1,5 +1,7 @@
 """File formats, rendering, and the command-line surface."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
@@ -23,7 +25,7 @@ from chromatile.errors import InvalidInputError
 from chromatile.grid import Box, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.layered import run_pipeline
-from chromatile.lowerbound import TorusLabeling
+from chromatile.lowerbound import respects_matching
 from chromatile.rectcolor import (
     color_bc1,
     palette,
@@ -445,6 +447,41 @@ def genset2d_file(tmp_path):
     return str(path)
 
 
+@st.composite
+def lowerbound_calls(draw):
+    """``lowerbound`` arguments after the subcommand, with the text of a
+    genset file to pass, or None for the standard set.
+
+    Moduli of n <= 3 axes and at most 16 vertices, now and then a zero;
+    a genset of one to three vectors, closed under negation or not, with
+    or without --symmetrize, now and then of another dimension; and any
+    search with at most one budget, which may be below 1, not a number,
+    or one the search does not take.
+    """
+    n = draw(st.integers(1, 3))
+    moduli, room = [], 16
+    for _ in range(n):
+        q = 0 if draw(st.integers(0, 15)) == 0 else draw(st.integers(min(room, 3), room))
+        moduli.append(q)
+        room //= max(q, 1)
+    search = draw(st.sampled_from(["chi", "labelings", "matchings"]))
+    argv = ["--moduli", ",".join(map(str, moduli)), "--search", search]
+    genset = None
+    if draw(st.booleans()):
+        dim = draw(st.sampled_from([n] * 7 + [n % 3 + 1]))
+        vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            vectors += [tuple(-x for x in v) for v in vectors]
+        genset = f"n={dim}\n" + "".join(",".join(map(str, v)) + "\n" for v in vectors)
+        if draw(st.booleans()):
+            argv.append("--symmetrize")
+    own = {"chi": "--k-max", "labelings": "--limit"}.get(search)
+    budget = draw(st.sampled_from([own, own, None, "--k-max", "--limit"]))
+    if budget:
+        argv += [budget, draw(st.sampled_from([*map(str, range(-1, 9)), "two"]))]
+    return argv, genset
+
+
 class TestCli:
     def test_decompose(self, genset_file, capsys):
         assert main(["decompose", genset_file, "--symmetrize"]) == 0
@@ -519,15 +556,62 @@ class TestCli:
         assert "found" in capsys.readouterr().out
 
     def test_lowerbound_rejects_a_bad_witness(self, monkeypatch, capsys):
-        torus = Torus((4,))
-        good = TorusLabeling.from_map(torus, {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)})
-        bad = TorusLabeling.from_map(torus, {(i,): (1,) for i in range(4)})
+        good = {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)}
+        bad = {(i,): (1,) for i in range(4)}
         monkeypatch.setattr("chromatile.cli.search_respecting_labelings",
                             lambda *args, **kwargs: [good, bad])
         assert main(["lowerbound", "--moduli", "4", "--search", "labelings"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "breaks a matching pattern" in captured.err
+
+    @pytest.mark.parametrize(
+        "moduli,extra,answer",
+        [
+            ("23,23", [], "chromatic_index=5"),
+            ("24,24", [], "chromatic_index=4"),
+            ("7,7,7", [], "chromatic_index=7"),
+            ("8,8,8", [], "chromatic_index=6"),
+            ("6,5", [], "chromatic_index=4"),  # generators of even and odd order
+            ("23,23", ["--k-max", "4"], "chromatic_index=>4"),
+        ],
+    )
+    def test_lowerbound_chi_on_large_tori(self, moduli, extra, answer, capsys):
+        """Tori of over a thousand edges answer at the default recursion limit."""
+        assert main(["lowerbound", "--moduli", moduli, "--search", "chi", *extra]) == 0
+        assert capsys.readouterr().out == answer + "\n"
+
+    def test_lowerbound_labelings_on_a_large_torus(self, capsys):
+        """A witness on 2,500 vertices, found at the default recursion limit,
+        that respects every matching pattern."""
+        assert main([
+            "lowerbound", "--moduli", "50,50", "--search", "labelings", "--limit", "1",
+        ]) == 0
+        head, witness = capsys.readouterr().out.splitlines()
+        assert head == "patterns=12 respecting_labelings=>=1"
+        phi = {}
+        for pair in witness.removeprefix("witness: ").split():
+            v, g = (tuple(map(int, p.split(","))) for p in pair.split("->"))
+            phi[v] = g
+        assert len(phi) == 2500
+        assert respects_matching(Torus((50, 50)), phi, GeneratorSet.standard(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lowerbound_calls())
+    def test_lowerbound_fuzz(self, tmp_path_factory, call):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        argv, genset = call
+        if genset is not None:
+            path = tmp_path_factory.getbasetemp() / "fuzz-genset.txt"
+            path.write_text(genset, encoding="utf-8")
+            argv = ["--genset", str(path), *argv]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["lowerbound", *argv])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out.getvalue() == ""
 
     def test_color_conflict_is_a_verification_failure(self, force_conflict, capsys):
         force_conflict(tiling_module)

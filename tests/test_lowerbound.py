@@ -10,8 +10,6 @@ from chromatile.errors import InfeasibleError, InvalidInputError
 from chromatile.grid import SchreierGraphView, Torus
 from chromatile.lattice import GeneratorSet
 from chromatile.lowerbound import (
-    TorusLabeling,
-    _edge_colorable,
     chromatic_index,
     has_perfect_matching,
     pattern_count,
@@ -19,6 +17,10 @@ from chromatile.lowerbound import (
     search_respecting_labelings,
 )
 from reference import (
+    _edge_colorable,
+    chromatic_index_by_search,
+    edge_endpoints,
+    edge_keys,
     matching_patterns,
     maximum_matching_size_exhaustive,
     neighbors,
@@ -53,17 +55,15 @@ class TestPatterns:
 class TestRespects:
     def test_alternating_ring(self):
         torus = Torus((4,))
-        lab = TorusLabeling.from_map(
-            torus, {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)}
-        )
-        assert respects(lab, matching_patterns(S1), S1)
-        assert respects_matching(lab, S1)
+        phi = {(0,): (1,), (1,): (-1,), (2,): (1,), (3,): (-1,)}
+        assert respects(torus, phi, matching_patterns(S1), S1)
+        assert respects_matching(torus, phi, S1)
 
     def test_constant_fails(self):
         torus = Torus((4,))
-        lab = TorusLabeling.from_map(torus, {(i,): (1,) for i in range(4)})
-        assert not respects(lab, matching_patterns(S1), S1)
-        assert not respects_matching(lab, S1)
+        phi = {(i,): (1,) for i in range(4)}
+        assert not respects(torus, phi, matching_patterns(S1), S1)
+        assert not respects_matching(torus, phi, S1)
 
     @pytest.mark.parametrize("labels", [
         [(3,), (3,), (3,), (-3,), (-3,), (-3,)],  # pairs x with x + 3
@@ -71,18 +71,18 @@ class TestRespects:
     ])
     def test_labels_outside_s_fail(self, labels):
         torus = Torus((6,))
-        lab = TorusLabeling.from_map(torus, {(i,): g for i, g in enumerate(labels)})
+        phi = {(i,): g for i, g in enumerate(labels)}
         # every x satisfies phi(x + phi(x)) = -phi(x); only membership fails
-        assert all(lab.mapping()[torus.add(x, g)] == (-g[0],) for x, g in lab.phi)
-        assert not respects_matching(lab, S1)
+        assert all(phi[torus.add(x, g)] == (-g[0],) for x, g in phi.items())
+        assert not respects_matching(torus, phi, S1)
 
     def test_key_off_the_torus_rejected(self):
         phi = {(i,): (1,) if i % 2 == 0 else (-1,) for i in range(4)}
         with pytest.raises(InvalidInputError) as err:
-            TorusLabeling.from_map(Torus((4,)), {**phi, (9,): (1,)})
+            respects_matching(Torus((4,)), {**phi, (9,): (1,)}, S1)
         assert str(err.value) == "labeling labels (9,), not a torus vertex"
         with pytest.raises(InvalidInputError) as err:
-            TorusLabeling.from_map(Torus((4,)), {(0,): (1,)})
+            respects_matching(Torus((4,)), {(0,): (1,)}, S1)
         assert str(err.value) == "labeling misses vertex (1,)"
 
     def test_triangle_exhaustive(self):
@@ -95,26 +95,23 @@ class TestRespects:
         members = sorted(S2.members)
         for _ in range(60):
             phi = {v: members[rng.randrange(4)] for v in torus.vertices()}
-            lab = TorusLabeling.from_map(torus, phi)
-            assert respects(lab, pats, S2) == respects_matching(lab, S2)
+            assert respects(torus, phi, pats, S2) == respects_matching(torus, phi, S2)
 
     def test_small_moduli_rejected(self):
-        lab = TorusLabeling.from_map(Torus((1,)), {(0,): (1,)})
         with pytest.raises((InfeasibleError, InvalidInputError)):
-            respects(lab, matching_patterns(S1), S1)
+            respects(Torus((1,)), {(0,): (1,)}, matching_patterns(S1), S1)
         with pytest.raises((InfeasibleError, InvalidInputError)):
-            respects_matching(lab, S1)
+            respects_matching(Torus((1,)), {(0,): (1,)}, S1)
         # +1 = -1 on a 2-ring: occurrence semantics degenerate
-        lab2 = TorusLabeling.from_map(Torus((2,)), {(0,): (1,), (1,): (1,)})
         with pytest.raises((InfeasibleError, InvalidInputError)):
-            respects_matching(lab2, S1)
+            respects_matching(Torus((2,)), {(0,): (1,), (1,): (1,)}, S1)
 
     def test_every_found_labeling_induces_perfect_matching(self):
         torus = Torus((6,))
-        for lab in search_respecting_labelings(torus, S1):
+        for phi in search_respecting_labelings(torus, S1):
             # the edges {x, x + phi(x)} cover each vertex once: x's
             # partner is another vertex, whose partner is x
-            partner = {x: torus.add(x, g) for x, g in lab.phi}
+            partner = {x: torus.add(x, g) for x, g in phi.items()}
             assert all(partner[partner[x]] == x != partner[x] for x in partner)
 
     def test_search_matches_brute_force_enumeration(self):
@@ -134,13 +131,13 @@ class TestRespects:
             verts = sorted(torus.vertices())
             brute = 0
             for assignment in iproduct(members, repeat=len(verts)):
-                lab = TorusLabeling.from_map(torus, dict(zip(verts, assignment)))
-                if respects(lab, pats, s):
+                if respects(torus, dict(zip(verts, assignment)), pats, s):
                     brute += 1
             found = search_respecting_labelings(torus, s)
             assert len(found) == brute
-            for lab in found:
-                assert respects(lab, pats, s)
+            for phi in found:
+                assert list(phi) == verts
+                assert respects(torus, phi, pats, s)
 
     def test_odd_small_tori_have_no_respecting_labelings(self):
         cases = [
@@ -196,10 +193,11 @@ def _found_or_error(search, case):
 
 
 @st.composite
-def schreier_views(draw, max_vertices):
+def schreier_views(draw, max_vertices, max_pairs=None):
     """A valid view on a torus of n <= 2 axes and at most ``max_vertices``
-    vertices, with a random symmetric S whose members are lifted off
-    their residues, so coordinates may be negative or exceed q."""
+    vertices, with a random symmetric S of at most ``max_pairs`` pairs
+    whose members are lifted off their residues, so coordinates may be
+    negative or exceed q."""
     q1 = draw(st.integers(1, max_vertices))
     moduli = (q1,) + tuple(draw(st.lists(st.integers(1, max_vertices // q1), max_size=1)))
     torus = Torus(moduli)
@@ -208,7 +206,7 @@ def schreier_views(draw, max_vertices):
     neg = {x: torus.reduce(tuple(-c for c in x)) for x in torus.vertices()}
     reps = sorted({min(x, y) for x, y in neg.items() if x != y})
     assume(reps)
-    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, unique=True))
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=1, max_size=max_pairs, unique=True))
     lifted = [tuple(c + q * draw(st.integers(-2, 1)) for c, q in zip(u, moduli)) for u in chosen]
     return SchreierGraphView(torus, GeneratorSet.from_vectors(lifted))
 
@@ -267,17 +265,36 @@ class TestChromaticIndex:
         assert chromatic_index(SchreierGraphView(Torus((4, 4)), S2), 5) == 4
 
     def test_even_tori_hit_degree(self):
-        # direction x parity certificate says 2n colors suffice; the
-        # search confirms the lower bound Delta = 2n
+        # a generator of even order gives the degree 2n, which the
+        # parity certificate below attains
         assert chromatic_index(SchreierGraphView(Torus((4,)), S1), 3) == 2
         assert chromatic_index(SchreierGraphView(Torus((4, 4)), S2), 5) == 4
 
     def test_five_torus_needs_extra_color(self):
         # 25 vertices, 4-regular: a 4-coloring would split into perfect
-        # matchings, impossible on odd order; the parity rule skips k=4
-        # and the search finds a 5-coloring
+        # matchings, impossible on odd order; the search finds a 5-coloring
         view = SchreierGraphView(Torus((5, 5)), S2)
-        assert chromatic_index(view, 6) == 5
+        assert chromatic_index(view, 6) == 5 == chromatic_index_by_search(view, 6)
+        assert chromatic_index(view, 4) is None
+
+    def test_mixed_orders_hit_degree(self):
+        # (1, 0) has even order 6 and (0, 1) odd order 5
+        view = SchreierGraphView(Torus((6, 5)), S2)
+        assert chromatic_index(view, 5) == 4 == chromatic_index_by_search(view, 5)
+
+    def test_no_generators_no_colors(self):
+        view = SchreierGraphView(Torus((4,)), GeneratorSet(1, frozenset()))
+        assert chromatic_index(view, 1) == 0 == chromatic_index_by_search(view, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schreier_views(16, max_pairs=3), st.data())
+    def test_rule_matches_search(self, view, data):
+        """The parity rule gives the exact search's answer under any budget.
+
+        Views stay at 16 vertices and 3 pairs, where the search takes
+        milliseconds; K_9-like views of 20 vertices take it seconds."""
+        k_max = data.draw(st.integers(1, len(view.generators) + 2))
+        assert chromatic_index(view, k_max) == chromatic_index_by_search(view, k_max)
 
     @pytest.mark.parametrize(
         "moduli,s", [((3,), S1), ((5,), S1), ((3, 3), S2), ((3, 5), S2)]
@@ -286,7 +303,7 @@ class TestChromaticIndex:
         # odd order and regular: the search alone refutes k = degree,
         # and chromatic_index, which skips that search, lands one higher
         view = SchreierGraphView(Torus(moduli), s)
-        edges = [view.edge_endpoints(key) for key in sorted(view.edge_keys())]
+        edges = [edge_endpoints(view, key) for key in sorted(edge_keys(view))]
         incident = {}
         for i, (a, b) in enumerate(edges):
             incident.setdefault(a, []).append(i)
@@ -304,13 +321,13 @@ class TestChromaticIndex:
 
     def test_parity_certificate_is_proper(self):
         # independent upper-bound certificate used to sanity-check the
-        # search on even tori: color {x, x+e_i} by (i, x_i mod 2)
+        # rule on even tori: color {x, x+e_i} by (i, x_i mod 2)
         for moduli in [(4,), (4, 4), (6, 4)]:
             torus = Torus(moduli)
             s = GeneratorSet.standard(len(moduli))
             view = SchreierGraphView(torus, s)
             seen = {}
-            for x, u in view.edge_keys():
+            for x, u in edge_keys(view):
                 ax = u.index(1) + 1
                 color = (ax, x[ax - 1] % 2)
                 for v in (x, torus.add(x, u)):
