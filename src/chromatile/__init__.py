@@ -29,8 +29,6 @@ from .lattice import (
     Decomposition,
     GeneratorSet,
     SubgroupBasis,
-    compute_constants,
-    decompose,
     decompose_with_constants,
     hermite_normal_form,
     load_generator_file,

@@ -27,7 +27,7 @@ from .errors import (
     VerificationError,
 )
 from .grid import Box, SchreierGraphView, Torus
-from .lattice import GeneratorSet, decompose_with_constants, load_generator_file
+from .lattice import GeneratorSet, decompose_with_constants, load_generator_file, parse_vec
 from .layered import run_pipeline
 from .lowerbound import (
     chromatic_index,
@@ -45,23 +45,12 @@ from .rectcolor import (
     verify_shifted_core,
 )
 from .render import render_svg
-from .tiling import brick_tiling, color_tiling, verify_tiling_coloring
+from .tiling import brick_tiling, color_tiling, first_odd_axis, verify_tiling_coloring
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_UNVERIFIED = 2
 EXIT_INFEASIBLE = 3
-
-
-def _vec(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _load_genset(path: str, symmetrize: bool) -> GeneratorSet:
-    return load_generator_file(path, symmetrize=symmetrize)
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -77,7 +66,7 @@ def _write_out(path: Optional[str], text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    s = _load_genset(args.genset, args.symmetrize)
+    s = load_generator_file(args.genset, symmetrize=args.symmetrize)
     dec = decompose_with_constants(s)
     print(f"n={s.dimension} |S|={len(s)} levels={dec.level_count + 1}")
     for i, layer in enumerate(dec.layers):
@@ -94,10 +83,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_color_rect(args: argparse.Namespace) -> int:
-    sizes = _vec(args.sizes)
-    origin = _vec(args.origin) if args.origin else (0,) * len(sizes)
+    sizes = parse_vec(args.sizes)
+    origin = parse_vec(args.origin) if args.origin else (0,) * len(sizes)
     box = Box(origin, sizes)
-    t = _vec(args.t) if args.t else None
+    t = parse_vec(args.t) if args.t else None
     if t is not None and args.mode != "shifted":
         raise InvalidInputError("--t applies only to --mode shifted")
     if args.odd_axis is not None and args.mode != "bc2":
@@ -105,12 +94,7 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
     if args.mode == "bc1":
         coloring = color_bc1(box)
     elif args.mode == "bc2":
-        axis = args.odd_axis
-        if axis is None:
-            odd = [ax for ax, a in enumerate(sizes, start=1) if a % 2]
-            if not odd:
-                raise InfeasibleError(f"no odd side in {sizes} for bc2")
-            axis = odd[0]
+        axis = first_odd_axis(box) if args.odd_axis is None else args.odd_axis
         coloring = color_bc2(box, axis)
     elif args.mode == "core":
         coloring = color_core(box)
@@ -137,9 +121,9 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
 
 
 def cmd_color_torus(args: argparse.Namespace) -> int:
-    moduli = _vec(args.moduli)
+    moduli = parse_vec(args.moduli)
     torus = Torus(moduli)
-    offsets = _vec(args.offsets) if args.offsets else None
+    offsets = parse_vec(args.offsets) if args.offsets else None
     tiling = brick_tiling(torus, args.d, offsets=offsets, seed=args.seed)
     coloring = color_tiling(tiling, mode=args.mode)
     report = verify_tiling_coloring(coloring, tiling, args.mode)
@@ -158,8 +142,8 @@ def cmd_color_torus(args: argparse.Namespace) -> int:
 
 
 def cmd_layered(args: argparse.Namespace) -> int:
-    s = _load_genset(args.genset, args.symmetrize)
-    moduli = _vec(args.moduli)
+    s = load_generator_file(args.genset, symmetrize=args.symmetrize)
+    moduli = parse_vec(args.moduli)
     run = run_pipeline(s, moduli, d_override=args.d_override)
     report = run.report
     if not report.ok:
@@ -184,10 +168,10 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
         raise InvalidInputError("--k-max applies only to --search chi")
     if args.symmetrize and not args.genset:
         raise InvalidInputError("--symmetrize applies only to a --genset file")
-    moduli = _vec(args.moduli)
+    moduli = parse_vec(args.moduli)
     torus = Torus(moduli)
     if args.genset:
-        s = _load_genset(args.genset, args.symmetrize)
+        s = load_generator_file(args.genset, symmetrize=args.symmetrize)
     else:
         s = GeneratorSet.standard(len(moduli))
     view = SchreierGraphView(torus, s)

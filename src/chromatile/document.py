@@ -14,23 +14,12 @@ from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError
 from .grid import Edge, Vertex
-from .lattice import Vector
+from .lattice import Vector, fmt_vec, parse_vec
 from .layered import LayeredResult
 from .rectcolor import palette
 
 COLORING_FORMAT = "chromatile/coloring/v1"
 LAYERED_FORMAT = "chromatile/layered/v1"
-
-
-def fmt_vec(v: Vector) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def parse_vec(text: str) -> Vector:
-    try:
-        return tuple(map(int, text.split(",")))
-    except ValueError as exc:
-        raise InvalidInputError(f"bad vector {text.strip()!r}") from exc
 
 
 @dataclass

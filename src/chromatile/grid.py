@@ -89,21 +89,6 @@ def _vertices(origin: Vertex, sizes: tuple[int, ...]) -> Iterator[Vertex]:
     return product(*[range(b, b + a + 1) for b, a in zip(origin, sizes)])
 
 
-def _edges_in(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
-    edges = []
-    for ax in axes:
-        if sizes[ax - 1] < 1:
-            continue
-        ranges = [
-            range(b, b + a) if i == ax - 1 else range(b, b + a + 1)
-            for i, (b, a) in enumerate(zip(origin, sizes))
-        ]
-        for base in product(*ranges):
-            edges.append((base, ax))
-    edges.sort()
-    return edges
-
-
 def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
     edges = []
     for ax in axes:
@@ -127,7 +112,15 @@ def edges_in(box: Box) -> list[Edge]:
 
     The count is sum_i a_i * prod_{j != i} (a_j + 1).
     """
-    return _edges_in(box.origin, box.sizes, range(1, box.n + 1))
+    edges = []
+    for ax in range(1, box.n + 1):
+        ranges = [
+            range(b, b + a) if i == ax - 1 else range(b, b + a + 1)
+            for i, (b, a) in enumerate(zip(box.origin, box.sizes))
+        ]
+        edges += [(base, ax) for base in product(*ranges)]
+    edges.sort()
+    return edges
 
 
 def adjacent_edges(box: Box) -> list[Edge]:

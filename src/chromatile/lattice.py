@@ -2,8 +2,8 @@
 
 Everything here is exact integer arithmetic on tuples of Python ints,
 so there is no overflow to worry about: the marker distance ``d``
-produced by :func:`compute_constants` easily exceeds 64 bits for large
-generating sets.
+produced by :func:`decompose_with_constants` easily exceeds 64 bits for
+large generating sets.
 
 The central objects are symmetric generating sets of Z^n and their
 greedy decomposition into layers, where each layer is a maximal
@@ -11,8 +11,8 @@ greedy decomposition into layers, where each layer is a maximal
 when for every s in S the cyclic group <s> meets <S \\ {s,-s}> only in
 the zero vector; for torsion-free Z^n this is equivalent to the lex
 positive representatives of the +/- pairs being linearly independent
-over Q, which is how :func:`decompose` decides it (a rational
-dependence scales to an integer relation and conversely).
+over Q, which is how :func:`decompose_with_constants` decides it (a
+rational dependence scales to an integer relation and conversely).
 
 Every question rests on the Hermite normal form.  Ranks come from its
 row count, and the two solves -- the least multiple of a vector inside
@@ -24,7 +24,7 @@ read their answer off the one primitive relation that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError, VerificationError
@@ -35,6 +35,18 @@ Vector = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # elementary vector helpers
 # ---------------------------------------------------------------------------
+
+def fmt_vec(v: Vector) -> str:
+    return ",".join(str(x) for x in v)
+
+
+def parse_vec(text: str) -> Vector:
+    """A vector of comma-separated integers; InvalidInputError otherwise."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError as exc:
+        raise InvalidInputError(f"bad vector {text.strip()!r}") from exc
+
 
 def vneg(v: Vector) -> Vector:
     return tuple(-x for x in v)
@@ -289,8 +301,8 @@ class GeneratorSet:
 class Decomposition:
     """Layering S = S_0 u ... u S_m plus the constants driving colorings.
 
-    ``k[i-1]`` is the least k > 0 with k*<S_i> inside <S_{i-1}>.  The
-    remaining fields are only populated by :func:`compute_constants`:
+    ``k[i-1]`` is the least k > 0 with k*<S_i> inside <S_{i-1}>.  Only
+    :func:`decompose_with_constants` builds one, with every constant set:
 
     * ``beta * s`` lies in <S_i> for every level i, and ``a_coeffs[i]``
       are its exact integer coordinates in the ordered basis of layer i.
@@ -304,13 +316,13 @@ class Decomposition:
     dimension: int
     layers: tuple[GeneratorSet, ...]
     k: tuple[int, ...]
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-    gamma: Optional[int] = None
-    s: Optional[Vector] = None
-    s_norm: Optional[int] = None
-    d: Optional[int] = None
-    a_coeffs: Optional[dict[int, tuple[int, ...]]] = None
+    alpha: int
+    beta: int
+    gamma: int
+    s: Vector
+    s_norm: int
+    d: int
+    a_coeffs: dict[int, tuple[int, ...]]
 
     @property
     def level_count(self) -> int:
@@ -322,8 +334,8 @@ class Decomposition:
         return self.layers[i].pairs()
 
 
-def decompose(s: GeneratorSet) -> Decomposition:
-    """Greedy deterministic layering of a generating set of Z^n.
+def _layering(s: GeneratorSet) -> tuple[list[GeneratorSet], list[int]]:
+    """Greedy deterministic layering of a generating set of Z^n, and its k's.
 
     Pairs are scanned in lex order of their canonical representative; a
     pair joins the current layer when the layer stays independent.  Each
@@ -357,30 +369,28 @@ def decompose(s: GeneratorSet) -> Decomposition:
             kv = smallest_multiple_in(v, prev)
             k_i = k_i * kv // math.gcd(k_i, kv)
         ks.append(k_i)
-    return Decomposition(s.dimension, tuple(layers), tuple(ks))
+    return layers, ks
 
 
-def compute_constants(dec: Decomposition) -> Decomposition:
-    """Fill in alpha, beta, gamma, s, d and the shift coordinates.
+def decompose_with_constants(s: GeneratorSet) -> Decomposition:
+    """The layering of s with alpha, beta, gamma, s, d and the shift coordinates.
 
     s is the lex smallest canonical representative in the last layer.
     For m = 0 the constants degenerate to alpha=0, beta=6, gamma=0 so
     downstream code keeps a single path.
     """
-    n = dec.dimension
-    m = dec.level_count
-    beta = 6
-    for k_i in dec.k:
-        beta *= k_i
+    layers, ks = _layering(s)
+    n = s.dimension
+    m = len(layers) - 1
+    beta = 6 * math.prod(ks)
     alpha = (3 ** n) * m
-    s = dec.layer_reps(m)[0]
-    s_norm = one_norm(s)
+    s_vec = layers[m].pairs()[0]
+    s_norm = one_norm(s_vec)
 
-    beta_s = vscale(beta, s)
+    beta_s = vscale(beta, s_vec)
     a_coeffs: dict[int, tuple[int, ...]] = {}
-    for i in range(m + 1):
-        reps = dec.layer_reps(i)
-        sol = solve_integer_combination(reps, beta_s)
+    for i, layer in enumerate(layers):
+        sol = solve_integer_combination(layer.pairs(), beta_s)
         if sol is None:
             raise ValueError(
                 f"no integer expansion of beta*s in layer {i}: decomposition invariant broken"
@@ -389,28 +399,13 @@ def compute_constants(dec: Decomposition) -> Decomposition:
             raise VerificationError("beta*s coordinates must all be even")
         a_coeffs[i] = sol
 
-    gamma = 0
-    for i in range(1, m + 1):
-        for a in a_coeffs[i]:
-            gamma = max(gamma, abs(a))
-
+    gamma = max((abs(a) for i in range(1, m + 1) for a in a_coeffs[i]), default=0)
     d = 4 * 2 * (gamma + 1) * (alpha + 1) * (beta + 1) * s_norm + 2
     if d % 4 != 2:
         raise VerificationError(f"marker distance {d} is not congruent to 2 mod 4")
-    return replace(
-        dec,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        s=s,
-        s_norm=s_norm,
-        d=d,
-        a_coeffs=a_coeffs,
+    return Decomposition(
+        n, tuple(layers), tuple(ks), alpha, beta, gamma, s_vec, s_norm, d, a_coeffs
     )
-
-
-def decompose_with_constants(s: GeneratorSet) -> Decomposition:
-    return compute_constants(decompose(s))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +430,7 @@ def parse_generator_text(text: str, *, symmetrize: bool = True) -> GeneratorSet:
         raise InvalidInputError(f"bad dimension line: {lines[0]!r}") from exc
     vectors = []
     for ln in lines[1:]:
-        try:
-            vec = tuple(int(part) for part in ln.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad vector line: {ln!r}") from exc
+        vec = parse_vec(ln)
         if len(vec) != dim:
             raise InvalidInputError(f"vector {vec} does not have dimension {dim}")
         vectors.append(vec)

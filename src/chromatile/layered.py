@@ -18,7 +18,7 @@ instead of degrading.
 
 Shift vectors in chart coordinates are a * (coordinates of beta*s in
 the level's basis); those coordinates are always even, so shifted-core
-colorings apply whenever the magnitude check passes.
+colorings apply whenever the bound of ``rectcolor.check_shift`` holds.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .lattice import (
     integer_kernel,
     vscale,
 )
-from .rectcolor import P, _store, palette
+from .rectcolor import P, _store, check_shift, palette
 from .tiling import (
     Tiling,
     brick_tiling,
@@ -116,8 +116,6 @@ def _orbit_offsets(
 
 def effective_d(dec: Decomposition, d_override: Optional[int]) -> int:
     if d_override is None:
-        if dec.d is None:
-            raise InvalidInputError("decomposition constants not computed")
         return dec.d
     if d_override < 2 or d_override % 4 != 2:
         raise InfeasibleError(f"d override {d_override} is not of the form 4k+2")
@@ -197,17 +195,10 @@ def build_model(
     return models
 
 
-def plan_tilings(
-    models: Sequence[CosetModel],
-    d: int,
-    offsets_per_level: Optional[dict[int, Sequence[int]]] = None,
-) -> list[Tiling]:
-    """One chart tiling per level, shared by all of that level's orbits."""
-    tilings = []
-    for model in models:
-        offsets = (offsets_per_level or {}).get(model.level)
-        tilings.append(brick_tiling(model.chart_torus(), d, offsets=offsets))
-    return tilings
+def plan_tilings(models: Sequence[CosetModel], d: int) -> list[Tiling]:
+    """One aligned chart tiling per level, shared by all of that level's
+    orbits; other tilings go to ``run_layered`` directly."""
+    return [brick_tiling(model.chart_torus(), d) for model in models]
 
 
 def level_color_name(color: str, level: int, chart_dim: int) -> str:
@@ -266,8 +257,6 @@ def run_layered(
     the chart map one by one.  The shift search and the chart/ambient
     agreement check stay per orbit.
     """
-    if dec.alpha is None or dec.a_coeffs is None:
-        raise InvalidInputError("decomposition constants not computed")
     if len(models) != dec.level_count + 1 or len(tilings) != len(models):
         raise InvalidInputError("models/tilings do not match the decomposition")
     torus = models[0].ambient_torus()
@@ -278,8 +267,6 @@ def run_layered(
         raise InvalidInputError("all levels must share one marker distance")
     if d % 4 != 2:
         raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {d}")
-    k = (d - 2) // 4
-    shift_bound = max(2 * k - 2, 0)
     beta_s = vscale(dec.beta, dec.s)
 
     coloring: dict[tuple[Vertex, Vector], str] = {}
@@ -315,17 +302,11 @@ def run_layered(
             core: list[int] = []
             if a is not None:
                 t = tuple(a * c for c in coeffs)
-                if any(ti % 2 for ti in t):
-                    raise VerificationError(f"core shift {t} has an odd coordinate")
-                if any(abs(ti) > shift_bound for ti in t):
-                    raise InfeasibleError(
-                        f"core shift {t} at level {level} exceeds the "
-                        f"admissible range +-{shift_bound} for d = {d}"
-                    )
-                shifted_box = region.shifted_core(t)
-                if not all(region.contains(v) for v in shifted_box.vertices()):
-                    raise VerificationError(f"shifted core {shifted_box} leaves its region")
-                core = _box_index(shifted_box.origin, [3] * ni, chart_moduli)
+                try:
+                    check_shift(region, t)
+                except InfeasibleError as exc:
+                    raise InfeasibleError(f"level {level}, d = {d}: core {exc}") from exc
+                core = _box_index(region.shifted_core(t).origin, [3] * ni, chart_moduli)
             local = localized.get((region.sizes, t))
             if local is None:
                 local = localized[(region.sizes, t)] = [
@@ -472,13 +453,16 @@ def run_pipeline(
     s: GeneratorSet,
     moduli: Sequence[int],
     d_override: Optional[int] = None,
-    offsets_per_level: Optional[dict[int, Sequence[int]]] = None,
 ) -> PipelineRun:
-    """Decompose, model, tile, color and verify in one call."""
+    """Decompose, model, tile, color and verify in one call.
+
+    Every level gets the aligned tiling of ``plan_tilings``; to run on
+    other tilings, call the stages one by one.
+    """
     dec = decompose_with_constants(s)
     d = effective_d(dec, d_override)
     models = build_model(s, dec, moduli, d_override)
-    tilings = plan_tilings(models, d, offsets_per_level)
+    tilings = plan_tilings(models, d)
     result = run_layered(s, dec, models, tilings)
     report = verify_layered(result, s, moduli)
     return PipelineRun(s, dec, result, report)

@@ -212,10 +212,6 @@ def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
     """
     if not 1 <= odd_axis <= box.n:
         raise InvalidInputError(f"odd_axis {odd_axis} out of range")
-    if box.sizes[odd_axis - 1] % 2 == 0:
-        raise InfeasibleError(
-            f"side {box.sizes[odd_axis - 1]} along axis {odd_axis} is not odd"
-        )
     out: dict[Edge, str] = {}
     _bc2(out, box.origin, box.sizes, odd_axis)
     return out

@@ -482,6 +482,67 @@ def lowerbound_calls(draw):
     return argv, genset
 
 
+@st.composite
+def color_rect_calls(draw):
+    """``color-rect`` arguments after the subcommand: sides 0..7 on n <= 3
+    axes, any mode, and now and then an --origin, --t or --odd-axis,
+    each of which may be of the wrong length, not a number, or one the
+    mode does not take.  --t and --odd-axis mostly come with the mode
+    that takes them, and the core modes get a cube half the time."""
+    n = draw(st.integers(1, 3))
+
+    def vector(low, high):
+        length = draw(st.sampled_from([n] * 5 + [n % 3 + 1]))
+        text = ",".join(str(draw(st.integers(low, high))) for _ in range(length))
+        return draw(st.sampled_from([text] * 9 + [text + "x"]))
+
+    mode = draw(st.sampled_from(["bc1", "bc2", "core", "shifted"]))
+    sizes = vector(0, 7)
+    if mode in ("core", "shifted") and draw(st.booleans()):
+        sizes = ",".join([sizes.split(",")[0]] * n)
+    argv = ["--sizes", sizes, "--mode", mode]
+
+    def now_and_then(own_mode):
+        return draw(st.integers(0, 9)) < (8 if mode == own_mode else 1)
+
+    for flag, low, high, own_mode in (("--origin", -5, 5, mode), ("--t", -6, 6, "shifted")):
+        if now_and_then(own_mode):
+            value = vector(low, high)
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if now_and_then("bc2"):
+        argv += ["--odd-axis", str(draw(st.integers(-1, 4)))]
+    return argv
+
+
+@st.composite
+def layered_calls(draw):
+    """``layered`` arguments after the genset, with the genset text: on
+    n <= 2 axes, mostly the unit vectors, and up to three more vectors,
+    closed under negation; moduli up to 24; and a marker distance
+    override that is feasible, too small, or not of the form 4k+2."""
+    n = draw(st.integers(1, 2))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    vectors = draw(st.sampled_from([units] * 4 + [[]]))
+    vectors += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                             min_size=0 if vectors else 1, max_size=3))
+    vectors += [tuple(-x for x in v) for v in vectors]
+    genset = f"n={n}\n" + "".join(",".join(map(str, v)) + "\n" for v in vectors)
+    moduli = ",".join(str(draw(st.integers(3, 24) | st.integers(1, 24))) for _ in range(n))
+    d = draw(st.sampled_from([2, 6, 10, 7, 0, -2]))
+    argv = ["--moduli", moduli, "--d-override", str(d)]
+    if draw(st.booleans()):
+        argv.append("--symmetrize")
+    return argv, genset
+
+
+def _call(argv):
+    """main(argv) with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestCli:
     def test_decompose(self, genset_file, capsys):
         assert main(["decompose", genset_file, "--symmetrize"]) == 0
@@ -606,12 +667,67 @@ class TestCli:
             path = tmp_path_factory.getbasetemp() / "fuzz-genset.txt"
             path.write_text(genset, encoding="utf-8")
             argv = ["--genset", str(path), *argv]
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = main(["lowerbound", *argv])
+        code, out, _ = _call(["lowerbound", *argv])
         assert code in (0, 1, 2, 3)
         if code:
-            assert out.getvalue() == ""
+            assert out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(color_rect_calls())
+    def test_color_rect_fuzz(self, argv):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        code, out, _ = _call(["color-rect", *argv])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_calls())
+    def test_layered_fuzz(self, tmp_path_factory, call):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        argv, genset = call
+        path = tmp_path_factory.getbasetemp() / "fuzz-layered.txt"
+        path.write_text(genset, encoding="utf-8")
+        code, out, _ = _call(["layered", "--genset", str(path), *argv])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == ""
+
+    def test_core_shift_out_of_range_names_level_and_d(self, genset2d_file):
+        code, out, err = _call([
+            "layered", "--genset", genset2d_file, "--symmetrize",
+            "--moduli", "13,13", "--d-override", "6",
+        ])
+        assert (code, out) == (3, "")
+        assert all(part in err for part in ("(6, 6)", "admissible range", "level 0", "d = 6"))
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--sizes", "4,4"], 3),  # no odd side
+            (["--sizes", "4,5", "--odd-axis", "1"], 3),  # the side along 1 is even
+            (["--sizes", "4,5", "--odd-axis", "0"], 1),
+            (["--sizes", "4,5", "--odd-axis", "3"], 1),
+        ],
+    )
+    def test_bc2_axis_errors(self, argv, code):
+        assert _call(["color-rect", "--mode", "bc2", *argv])[:2] == (code, "")
+
+    def test_bc2_default_axis_is_the_first_odd_one(self):
+        default = _call(["color-rect", "--sizes", "4,5", "--mode", "bc2"])
+        explicit = _call(["color-rect", "--sizes", "4,5", "--mode", "bc2", "--odd-axis", "2"])
+        assert default[0] == explicit[0] == 0
+        assert default[1] == explicit[1] != ""
+
+    def test_bad_vectors_are_named(self, tmp_path):
+        code, out, err = _call(["color-torus", "--moduli", "1x,13", "--d", "6"])
+        assert (code, out) == (1, "") and "'1x,13'" in err
+        genset = tmp_path / "gen.txt"
+        genset.write_text("n=2\n1,0\n1,x\n", encoding="utf-8")
+        code, out, err = _call(["layered", "--genset", str(genset), "--moduli", "13,13"])
+        assert (code, out) == (1, "") and "'1,x'" in err
 
     def test_color_conflict_is_a_verification_failure(self, force_conflict, capsys):
         force_conflict(tiling_module)

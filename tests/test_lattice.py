@@ -10,7 +10,6 @@ from chromatile.errors import InvalidInputError
 from chromatile.lattice import (
     GeneratorSet,
     SubgroupBasis,
-    decompose,
     decompose_with_constants,
     hermite_normal_form,
     integer_kernel,
@@ -161,33 +160,33 @@ class TestIndependence:
 
 class TestDecompose:
     def test_standard_set_single_layer(self):
-        dec = decompose(GeneratorSet.standard(2))
+        dec = decompose_with_constants(GeneratorSet.standard(2))
         assert dec.level_count == 0
         assert dec.layers[0].pairs() == [(0, 1), (1, 0)]
         assert dec.k == ()
 
     def test_one_two(self):
-        dec = decompose(GeneratorSet.from_vectors([(1,), (2,)]))
+        dec = decompose_with_constants(GeneratorSet.from_vectors([(1,), (2,)]))
         assert [layer.pairs() for layer in dec.layers] == [[(1,)], [(2,)]]
         assert dec.k == (1,)
 
     def test_diagonal_extra_generator(self):
-        dec = decompose(GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)]))
+        dec = decompose_with_constants(GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)]))
         assert dec.layers[0].pairs() == [(0, 1), (1, 0)]
         assert dec.layers[1].pairs() == [(1, 1)]
         assert dec.k == (1,)
 
     def test_rejects_non_generating_set(self):
         with pytest.raises(InvalidInputError):
-            decompose(GeneratorSet.from_vectors([(2, 0), (0, 2)]))
+            decompose_with_constants(GeneratorSet.from_vectors([(2, 0), (0, 2)]))
 
     def test_deterministic(self):
         s = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1), (2, 1)])
-        assert decompose(s) == decompose(s)
+        assert decompose_with_constants(s) == decompose_with_constants(s)
 
     def test_layers_partition_and_are_symmetric(self):
         s = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1), (3, 1)])
-        dec = decompose(s)
+        dec = decompose_with_constants(s)
         members = set()
         for layer in dec.layers:
             assert is_linearly_independent(layer)
@@ -198,7 +197,7 @@ class TestDecompose:
 
     def test_k_membership_and_minimality(self):
         s = GeneratorSet.from_vectors([(1, 0), (0, 1), (2, 2), (3, 3)])
-        dec = decompose(s)
+        dec = decompose_with_constants(s)
         for i in range(1, dec.level_count + 1):
             prev = dec.layers[i - 1].subgroup().basis
             k_i = dec.k[i - 1]

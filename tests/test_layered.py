@@ -20,6 +20,7 @@ from chromatile.layered import (
     build_model,
     level_color_name,
     level_palette,
+    run_layered,
     run_pipeline,
     verify_layered,
 )
@@ -145,9 +146,14 @@ class TestRunLayered:
     def test_collision_forces_nonzero_shift(self):
         # the level-0 tiling offset drops the default core onto the
         # level-1 cores, so the search must move it by beta*s
-        run = run_pipeline(S_ONE_TWO, (6277,), offsets_per_level={0: (4706,)})
-        assert run.report.ok, run.report.problems
-        assert max(run.result.shifts.values()) == 1
+        dec = decompose_with_constants(S_ONE_TWO)
+        models = build_model(S_ONE_TWO, dec, (6277,))
+        tilings = [brick_tiling(models[0].chart_torus(), dec.d, offsets=(4706,)),
+                   brick_tiling(models[1].chart_torus(), dec.d)]
+        result = run_layered(S_ONE_TWO, dec, models, tilings)
+        report = verify_layered(result, S_ONE_TWO, (6277,))
+        assert report.ok, report.problems
+        assert max(result.shifts.values()) == 1
 
     def test_two_dimensional_override(self):
         run = run_pipeline(S_DIAG, (37, 37), d_override=18)
