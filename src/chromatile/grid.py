@@ -209,13 +209,16 @@ class SchreierGraphView:
 # color twice.  A verifier describes its edge set by a *frame*, the
 # row-major index of every vertex of a box, and one *edge class* per
 # direction: a key (base, cls) names an edge when base is a frame vertex
-# and ``classes[cls]`` gives it a second endpoint.
+# and ``classes[cls]`` gives it a second endpoint.  The boundary, core
+# and level-palette conditions are data in the frame too: each class
+# holds a few rule rows and a kind byte per frame vertex, which the
+# verifier writes before the pass.
 # ---------------------------------------------------------------------------
 
-# (high, allowed): high[u] is the index of the second endpoint of the
-# class's edge based at vertex u, or negative when the edge set has no
-# such edge; allowed[slot] says whether the class may carry that slot
-_EdgeClass = tuple[list[int], bytes]
+# (high, rules, kind): high[u] is the index of the second endpoint of
+# the class's edge based at vertex u, or negative when the edge set has
+# no such edge; rules[kind[u]][slot] says whether that edge may carry slot
+_EdgeClass = tuple[list[int], tuple[bytes, ...], bytearray]
 
 
 class _Scan(NamedTuple):
@@ -224,9 +227,8 @@ class _Scan(NamedTuple):
     count: int  # keys naming an edge of the set; distinct, being dict keys
     alien: list  # keys naming none
     off_palette: list  # (key, color) pairs whose color has no slot
-    misplaced: list  # (key, color) pairs whose slot the key's class does not allow
+    misplaced: list  # (key, color) pairs whose slot the edge's rule row forbids
     clashes: list  # (vertex index, slot) pairs marked a second time
-    watched: list  # keys whose color has the watched slot
     seen: bytearray  # seen[vertex * slot_count + slot]
 
     def slots_used(self, slot_count: int) -> int:
@@ -270,14 +272,15 @@ def _box_index(
 
 
 def _box_frame(
-    box: Box, allowed: bytes
+    box: Box, rules: Sequence[tuple[bytes, ...]]
 ) -> tuple[dict[Vertex, int], dict[int, _EdgeClass]]:
     """Frame and edge classes (keyed by axis) of the edges in a box and
-    adjacent to it.
+    adjacent to it; class i + 1 takes the rule rows ``rules[i]``.
 
     The frame is the box padded by one vertex on every side, so the box
     spans frame offsets 1 .. a_i + 1.  Along its own axis an edge's base
     runs from offset 0 to a_i + 1; along every other axis it stays inside.
+    The adjacent edges, at offsets 0 and a_i + 1, are kind 1, the rest 0.
     """
     radices = [a + 3 for a in box.sizes]
     index = _frame_index([b - 1 for b in box.origin], radices)
@@ -291,23 +294,34 @@ def _box_frame(
             else [x * st if 1 <= x <= a + 1 else absent for x in range(a + 3)]
             for j, (a, st) in enumerate(zip(box.sizes, strides))
         ]
-        classes[i + 1] = (_outer_sum(columns), allowed)
+        ends = [[int(j == i and x in (0, a + 1)) for x in range(a + 3)]
+                for j, a in enumerate(box.sizes)]
+        classes[i + 1] = (_outer_sum(columns), rules[i], bytearray(_outer_sum(ends)))
     return index, classes
 
 
 def _torus_frame(
-    moduli: Sequence[int], steps: dict[Hashable, tuple[Vector, bytes]]
+    moduli: Sequence[int], steps: dict[Hashable, tuple[Vector, tuple[bytes, ...]]]
 ) -> tuple[dict[Vertex, int], dict[Hashable, _EdgeClass]]:
     """Frame and edge classes of a torus, keyed by reduced base vertex.
 
     ``steps`` maps each class key (an axis, or the step itself) to its
-    step vector and the slots the class may carry.
+    step vector and its rule rows; every edge starts on kind 0.
     """
-    classes = {
-        cls: (_box_index(step, moduli, moduli), allowed)
-        for cls, (step, allowed) in steps.items()
-    }
-    return _frame_index([0] * len(moduli), moduli), classes
+    index = _frame_index([0] * len(moduli), moduli)
+    return index, {cls: (_box_index(step, moduli, moduli), rules, bytearray(len(index)))
+                   for cls, (step, rules) in steps.items()}
+
+
+def _mark_core(kinds: Sequence[bytearray], origin: Sequence[int], moduli: Sequence[int],
+               value: int, place: Optional[dict[int, int]] = None) -> None:
+    """Give the edges of the 2 x ... x 2 cube at ``origin`` kind ``value``:
+    ``kinds[i]`` is the class along axis i + 1, and each base's row-major
+    index modulo ``moduli`` is sent onto the frame by ``place``, if given."""
+    n = len(origin)
+    for i, kind in enumerate(kinds):
+        for u in _box_index(origin, [2 if j == i else 3 for j in range(n)], moduli):
+            kind[u if place is None else place[u]] = value
 
 
 def _scan_coloring(
@@ -316,13 +330,13 @@ def _scan_coloring(
     classes: dict[Hashable, _EdgeClass],
     slot_count: int,
     slot_of: Callable[[object], Optional[int]],
-    watch: int = -1,
 ) -> _Scan:
-    """The properness kernel: key validity, palette and properness in one pass.
+    """The kernel: key validity, palette, placement and properness in one pass.
 
     ``slot_of`` maps a color to its palette slot, or to None when the
-    color is outside the palette.  Keys carrying the ``watch`` slot are
-    collected, so a caller can confine that color afterwards.
+    color is outside the palette.  This is the one place that decides
+    whether an edge may carry a slot: the edge based at u may when its
+    class's ``rules[kind[u]][slot]`` is set, else it is ``misplaced``.
     """
     seen = bytearray(len(index) * slot_count)
     count = 0
@@ -330,11 +344,10 @@ def _scan_coloring(
     off_palette: list = []
     misplaced: list = []
     clashes: list = []
-    watched: list = []
     for key, color in items:
         try:
             base, cls = key
-            high, allowed = classes[cls]
+            high, rules, kind = classes[cls]
             u = index[base]
         except (KeyError, TypeError, ValueError):
             alien.append(key)
@@ -351,10 +364,8 @@ def _scan_coloring(
         if slot is None:
             off_palette.append((key, color))
             continue
-        if not allowed[slot]:
+        if not rules[kind[u]][slot]:
             misplaced.append((key, color))
-        if slot == watch:
-            watched.append(key)
         at = u * slot_count + slot
         if seen[at]:
             clashes.append((u, slot))
@@ -363,7 +374,7 @@ def _scan_coloring(
         if seen[at]:
             clashes.append((v, slot))
         seen[at] = 1
-    return _Scan(count, alien, off_palette, misplaced, clashes, watched, seen)
+    return _Scan(count, alien, off_palette, misplaced, clashes, seen)
 
 
 def _scan_problems(

@@ -322,7 +322,7 @@ class Decomposition:
     s: Vector
     s_norm: int
     d: int
-    a_coeffs: dict[int, tuple[int, ...]]
+    a_coeffs: tuple[tuple[int, ...], ...]  # indexed by level
 
     @property
     def level_count(self) -> int:
@@ -388,7 +388,7 @@ def decompose_with_constants(s: GeneratorSet) -> Decomposition:
     s_norm = one_norm(s_vec)
 
     beta_s = vscale(beta, s_vec)
-    a_coeffs: dict[int, tuple[int, ...]] = {}
+    a_coeffs: list[tuple[int, ...]] = []
     for i, layer in enumerate(layers):
         sol = solve_integer_combination(layer.pairs(), beta_s)
         if sol is None:
@@ -397,14 +397,14 @@ def decompose_with_constants(s: GeneratorSet) -> Decomposition:
             )
         if any(a % 2 for a in sol):
             raise VerificationError("beta*s coordinates must all be even")
-        a_coeffs[i] = sol
+        a_coeffs.append(sol)
 
     gamma = max((abs(a) for i in range(1, m + 1) for a in a_coeffs[i]), default=0)
     d = 4 * 2 * (gamma + 1) * (alpha + 1) * (beta + 1) * s_norm + 2
     if d % 4 != 2:
         raise VerificationError(f"marker distance {d} is not congruent to 2 mod 4")
     return Decomposition(
-        n, tuple(layers), tuple(ks), alpha, beta, gamma, s_vec, s_norm, d, a_coeffs
+        n, tuple(layers), tuple(ks), alpha, beta, gamma, s_vec, s_norm, d, tuple(a_coeffs)
     )
 
 

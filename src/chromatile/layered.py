@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -34,6 +34,7 @@ from .grid import (
     Torus,
     Vertex,
     _box_index,
+    _mark_core,
     _outer_sum,
     _scan_coloring,
     _scan_problems,
@@ -370,11 +371,13 @@ class LayeredReport:
 def verify_layered(
     result: LayeredResult, s: GeneratorSet, moduli: Sequence[int]
 ) -> LayeredReport:
-    """Totality, properness, palette size, and color-0 confinement.
+    """Totality, properness, palette size, level palettes and color-0
+    confinement in one kernel pass.
 
-    One pass over the coloring also checks that every level's edges
-    carry only that level's palette or color 0.  Chosen core sets must
-    be pairwise disjoint.
+    A level's edges carry only its own palette, and color 0 only on edges
+    of the cores that its shifts place, mapped through its orbit table.
+    Its ``k_sets`` entry must be the vertices of those cores, and core
+    sets of distinct levels must be disjoint.
     """
     problems: list[str] = []
     torus = Torus(tuple(moduli))
@@ -388,30 +391,41 @@ def verify_layered(
         colors += level_colors[model.level]
     slot_of = {color: slot for slot, color in enumerate(colors)}
 
-    # one edge class per canonical step; color 0 (slot 0) is allowed on all
+    # one class per canonical step: kind 0 carries the level's palette, kind 1 color 0 too
     steps = {}
     for u in s.pairs():
-        allowed = bytearray(len(colors))
-        allowed[0] = 1
-        level = level_of.get(u)
-        if level is None:
+        if u not in level_of:
             problems.append(f"step {u} belongs to no level's basis")
-        else:
-            for color in level_colors[level]:
-                allowed[slot_of[color]] = 1
-        steps[u] = (u, bytes(allowed))
-
+        row = bytes(color in level_colors.get(level_of.get(u), ()) for color in colors)
+        steps[u] = (u, (row, b"\x01" + row[1:]))
     index, classes = _torus_frame(torus.moduli, steps)
-    scan = _scan_coloring(
-        result.coloring.items(), index, classes, len(colors), slot_of.get, watch=0
-    )
+
+    cores: list[set[int]] = [set() for _ in result.models]
+    placed: dict = {}  # (level, region index, a) -> the core's chart origin and vertices
+    for (level, rep, idx), a in result.shifts.items():
+        model = result.models[level]
+        if (level, idx, a) not in placed:
+            region = result.tilings[level].regions[idx]
+            origin = region.shifted_core(vscale(a, result.dec.a_coeffs[level])).origin
+            placed[(level, idx, a)] = (
+                origin, _box_index(origin, [3] * len(origin), model.chart_moduli))
+        origin, vertices = placed[(level, idx, a)]
+        point = {i: index[tuple((column[i] + r) % q for column, r, q in
+                                zip(model.offsets, rep, model.moduli))] for i in vertices}
+        cores[level].update(point.values())
+        _mark_core([classes[u][2] for u in model.basis], origin, model.chart_moduli, 1, point)
+
+    scan = _scan_coloring(result.coloring.items(), index, classes, len(colors), slot_of.get)
     problems += _scan_problems(scan, len(steps) * torus.vertex_count(), index, colors)
-    if scan.misplaced:
-        (base, step), color = scan.misplaced[0]
-        problems.append(
-            f"level {level_of.get(step)} edge {(base, step)} colored {color} from "
-            f"another level's palette ({len(scan.misplaced)} edges in all)"
-        )
+    escaped = [key for key, color in scan.misplaced if color == ZERO]
+    if escaped:
+        problems.append(f"color 0 escapes the level-{level_of.get(escaped[0][1])} cores at "
+                        f"{escaped[0]} ({len(escaped)} edges in all)")
+    foreign = [(key, color) for key, color in scan.misplaced if color != ZERO]
+    if foreign:
+        (base, step), color = foreign[0]
+        problems.append(f"level {level_of.get(step)} edge {(base, step)} colored {color} from "
+                        f"another level's palette ({len(foreign)} edges in all)")
 
     # off-palette colors counted by repr, since they need not be hashable
     off_palette = {repr(color) for _, color in scan.off_palette}
@@ -419,22 +433,16 @@ def verify_layered(
     if color_count > len(s) + 1:
         problems.append(f"{color_count} colors used; at most {len(s) + 1} allowed")
 
-    # color 0 only inside one level's core set, on that level's edges
-    for base, step in scan.watched:
-        level = level_of.get(step)
-        if level is None:
-            problems.append(f"zero-colored edge with unknown step {step}")
-            continue
-        ks = result.k_sets[level]
-        if base not in ks or torus.add(base, step) not in ks:
-            problems.append(f"color 0 escapes the level-{level} cores at {(base, step)}")
+    for level, (ks, core) in enumerate(zip(result.k_sets, cores)):
+        if {index.get(v) for v in ks} != core:
+            problems.append(f"level {level}: core set differs from the cores its shifts place")
+    for i, j in combinations(range(len(result.k_sets)), 2):
+        if result.k_sets[i] & result.k_sets[j]:
+            problems.append(f"core sets of levels {i} and {j} intersect")
 
-    for i in range(len(result.k_sets)):
-        for j in range(i + 1, len(result.k_sets)):
-            if result.k_sets[i] & result.k_sets[j]:
-                problems.append(f"core sets of levels {i} and {j} intersect")
-
-    return LayeredReport(not problems, tuple(problems), color_count, len(scan.watched))
+    # each zero edge marks slot 0 at both of its endpoints
+    zero_edges = scan.seen[0::len(colors)].count(1) // 2
+    return LayeredReport(not problems, tuple(problems), color_count, zero_edges)
 
 
 # ---------------------------------------------------------------------------

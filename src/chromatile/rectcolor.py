@@ -28,17 +28,16 @@ producing a silently improper coloring.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError, VerificationError
 from .grid import (
     Box,
     Edge,
     Vertex,
-    _Scan,
     _adjacent_edges,
     _box_frame,
+    _mark_core,
     _scan_coloring,
     _vertices,
     adjacent_edges,
@@ -275,28 +274,29 @@ def _box_edge_count(sizes: Sequence[int]) -> int:
 
     Along axis i there are (a_i + 2) * prod_{j != i} (a_j + 1) of them.
     """
-    total = 0
-    for i, a in enumerate(sizes):
-        cross = 1
-        for j, b in enumerate(sizes):
-            if j != i:
-                cross *= b + 1
-        total += (a + 2) * cross
-    return total
+    vertices = 1
+    for a in sizes:
+        vertices *= a + 1
+    return sum((a + 2) * (vertices // (a + 1)) for a in sizes)
 
 
-def _scan_box(
-    coloring: dict[Edge, str], box: Box, watch: int = -1
-) -> tuple[_Scan, dict[Vertex, int]]:
-    """One pass over a box coloring, and the frame index it used.
-
-    Raises InvalidInputError when an edge of the box or an adjacent edge
-    is missing.
-    """
-    slot_count = 2 * box.n + 1
-    index, classes = _box_frame(box, b"\x01" * slot_count)
-    slot_of = {color: slot for slot, color in enumerate(palette(box.n))}.get
-    scan = _scan_coloring(coloring.items(), index, classes, slot_count, slot_of, watch)
+def _boundary_holds(coloring: dict[Edge, str], box: Box, core: Optional[Box] = None) -> bool:
+    """One kernel pass: proper, palette-only, no alien keys, adjacent edges
+    along e_i colored c_i and, given a core, color n+1 only on its edges.
+    Raises InvalidInputError when an edge of the box or an adjacent one
+    is missing."""
+    n = box.n
+    everywhere = b"\x01" * (2 * n + 1)
+    inside = everywhere if core is None else everywhere[:-1] + b"\x00"
+    # kind 0: inside the box, kind 1: adjacent, kind 2: on the core
+    rules = [(inside, bytes(slot == i for slot in range(2 * n + 1)), everywhere)
+             for i in range(n)]
+    index, classes = _box_frame(box, rules)
+    if core is not None:
+        lows = [c - b + 1 for c, b in zip(core.origin, box.origin)]
+        _mark_core([kind for _, _, kind in classes.values()], lows, [a + 3 for a in box.sizes], 2)
+    slot_of = {color: slot for slot, color in enumerate(palette(n))}.get
+    scan = _scan_coloring(coloring.items(), index, classes, 2 * n + 1, slot_of)
     # valid keys are distinct edges of the set, so fewer means missing ones
     if scan.count < _box_edge_count(box.sizes):
         missing = next(e for e in edges_in(box) + adjacent_edges(box) if e not in coloring)
@@ -304,28 +304,7 @@ def _scan_box(
             f"coloring is not total on the box and its adjacent edges; "
             f"first missing: {missing}"
         )
-    return scan, index
-
-
-def _boundary_holds(scan: _Scan, index: dict[Vertex, int], box: Box) -> bool:
-    """Proper, palette-only, no alien keys, and adjacent edges along e_i are c_i.
-
-    A vertex just outside a face across axis i lies on exactly one edge
-    of the set, an adjacent edge along e_i; on a total coloring that edge
-    is c_i exactly when the vertex has seen slot i - 1.
-    """
-    if scan.alien or scan.off_palette or scan.clashes:
-        return False
-    slot_count = 2 * box.n + 1
-    for i in range(box.n):
-        face = [
-            (b - 1, b + a + 1) if j == i else range(b, b + a + 1)
-            for j, (b, a) in enumerate(zip(box.origin, box.sizes))
-        ]
-        for w in product(*face):
-            if not scan.seen[index[w] * slot_count + i]:
-                return False
-    return True
+    return not (scan.alien or scan.off_palette or scan.misplaced or scan.clashes)
 
 
 def verify_boundary_condition(coloring: dict[Edge, str], box: Box) -> bool:
@@ -335,18 +314,14 @@ def verify_boundary_condition(coloring: dict[Edge, str], box: Box) -> bool:
     adjacent to it, and colors outside palette(n), also fail; a missing
     edge raises InvalidInputError.
     """
-    scan, index = _scan_box(coloring, box)
-    return _boundary_holds(scan, index, box)
+    return _boundary_holds(coloring, box)
 
 
 def verify_shifted_core(coloring: dict[Edge, str], box: Box, t: Vector) -> bool:
     """The boundary condition plus: color n+1 only on t-shifted-core edges.
 
-    Raises when the box has an odd side (no core exists).
+    The same single kernel pass, with the core's edges the only ones
+    inside the box whose rule row admits the extra color.  Raises when
+    the box has an odd side (no core exists).
     """
-    core_box = box.shifted_core(tuple(t))  # raises on odd sides / bad t
-    scan, index = _scan_box(coloring, box, watch=2 * box.n)
-    if not _boundary_holds(scan, index, box):
-        return False
-    allowed = set(edges_in(core_box))
-    return all(e in allowed for e in scan.watched)
+    return _boundary_holds(coloring, box, box.shifted_core(tuple(t)))

@@ -29,10 +29,10 @@ from .grid import (
     Vertex,
     _box_index,
     _frame_index,
+    _mark_core,
     _scan_coloring,
     _scan_problems,
     _torus_frame,
-    edges_in,
     unit_vector,
 )
 from .lattice import Vector
@@ -248,17 +248,6 @@ def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
     return out
 
 
-def allowed_core_edges(tiling: Tiling) -> set[Edge]:
-    """Torus edges on which the extra color may appear in core mode."""
-    reduce = tiling.torus.reduce
-    return {
-        (reduce(base), axis)
-        for region in tiling.regions
-        if is_all_even(region)
-        for base, axis in edges_in(region.core())
-    }
-
-
 # ---------------------------------------------------------------------------
 # torus-wide verification
 # ---------------------------------------------------------------------------
@@ -268,8 +257,9 @@ def verify_tiling_coloring(coloring: dict[Edge, str], tiling: Tiling, mode: str)
 
     Totality means exactly the n * |V| torus edges, keyed by their
     reduced base; the palette is the 2n+1 colors of ``palette(n)``.  In
-    core mode the extra color n+1 may only sit on edges of the cores of
-    the tiling's all-even regions.
+    core mode the edges of the cores of the tiling's all-even regions
+    are marked in the frame as the only ones whose rule row admits the
+    extra color n+1, so the kernel's pass confines it too.
     """
     if mode not in ("plain", "core"):
         raise InvalidInputError(f"unknown tiling mode {mode!r}")
@@ -277,25 +267,22 @@ def verify_tiling_coloring(coloring: dict[Edge, str], tiling: Tiling, mode: str)
     n = torus.n
     colors = palette(n)
     everywhere = b"\x01" * len(colors)
-    index, classes = _torus_frame(
-        torus.moduli, {ax: (unit_vector(n, ax), everywhere) for ax in range(1, n + 1)}
-    )
     core_mode = mode == "core"
-    scan = _scan_coloring(
-        coloring.items(),
-        index,
-        classes,
-        len(colors),
-        {color: slot for slot, color in enumerate(colors)}.get,
-        watch=2 * n if core_mode else -1,
+    # kind 0: anywhere, kind 1: on a core
+    rules = (everywhere[:-1] + b"\x00" if core_mode else everywhere, everywhere)
+    index, classes = _torus_frame(
+        torus.moduli, {ax: (unit_vector(n, ax), rules) for ax in range(1, n + 1)}
     )
+    kinds = [kind for _, _, kind in classes.values()]
+    for region in tiling.regions if core_mode else ():
+        if is_all_even(region):
+            _mark_core(kinds, region.core().origin, torus.moduli, 1)
+    slot_of = {color: slot for slot, color in enumerate(colors)}.get
+    scan = _scan_coloring(coloring.items(), index, classes, len(colors), slot_of)
     problems = _scan_problems(scan, n * torus.vertex_count(), index, colors)
-    if core_mode:
-        allowed = allowed_core_edges(tiling)
-        escaped = [e for e in scan.watched if e not in allowed]
-        if escaped:
-            problems.append(
-                f"extra color escapes the cores at {escaped[0]} "
-                f"({len(escaped)} edges in all)"
-            )
+    if scan.misplaced:
+        problems.append(
+            f"extra color escapes the cores at {scan.misplaced[0][0]} "
+            f"({len(scan.misplaced)} edges in all)"
+        )
     return TilingReport(not problems, tuple(problems))

@@ -5,6 +5,9 @@ Each one reads a definition literally and makes no claim to speed:
 * ``endpoints`` and ``verify_proper``: the two vertices of a (base,
   axis) grid edge, and properness of any set of such keys, the generic
   form of what the one-pass verifiers check on their own edge sets;
+* ``allowed_core_edges``: the torus edges of the cores of a tiling's
+  all-even regions as a set of keys, the reference for the core kinds
+  that ``chromatile.tiling.verify_tiling_coloring`` marks in its frame;
 * ``lattice_contains`` and ``is_linearly_independent``: membership in
   a lattice given by HNF rows, and the independence test that
   ``decompose`` applies pair by pair;
@@ -62,7 +65,7 @@ from chromatile.document import (
     fmt_vec,
 )
 from chromatile.errors import InfeasibleError, InvalidInputError, VerificationError
-from chromatile.grid import Edge, SchreierGraphView, Torus, Vertex
+from chromatile.grid import Edge, SchreierGraphView, Torus, Vertex, edges_in
 from chromatile.lattice import (
     GeneratorSet,
     SubgroupBasis,
@@ -75,6 +78,7 @@ from chromatile.lattice import (
 from chromatile.layered import CosetModel
 from chromatile.lowerbound import _check_moduli
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
+from chromatile.tiling import Tiling, is_all_even
 
 
 def endpoints(edge: Edge) -> tuple[Vertex, Vertex]:
@@ -93,6 +97,17 @@ def verify_proper(coloring: dict[Edge, str]) -> bool:
                 return False
             bucket.add(color)
     return True
+
+
+def allowed_core_edges(tiling: Tiling) -> set[Edge]:
+    """Torus edges on which the extra color may appear in core mode."""
+    reduce = tiling.torus.reduce
+    return {
+        (reduce(base), axis)
+        for region in tiling.regions
+        if is_all_even(region)
+        for base, axis in edges_in(region.core())
+    }
 
 
 def lattice_contains(v: Sequence[int], hnf_rows: Sequence[Vector]) -> bool:

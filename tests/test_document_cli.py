@@ -535,6 +535,91 @@ def layered_calls(draw):
     return argv, genset
 
 
+@st.composite
+def color_torus_calls(draw):
+    """``color-torus`` arguments after the subcommand: moduli 0..14 on
+    n <= 3 axes, a marker distance that tiles, is too large, or is below
+    2, either mode, and now and then a --seed, --offsets (which may be
+    negative or not a number) or both, which is an error."""
+    n = draw(st.integers(1, 3))
+    moduli = ",".join(str(draw(st.integers(0, 14))) for _ in range(n))
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 10, 0, -2]))
+    argv = ["--moduli", moduli, "--d", str(d), "--mode", draw(st.sampled_from(["plain", "core"]))]
+    placement = draw(st.sampled_from(["seed", "offsets", "both", None]))
+    if placement in ("seed", "both"):
+        argv += ["--seed", str(draw(st.integers(-3, 99)))]
+    if placement in ("offsets", "both"):
+        offsets = ",".join(str(draw(st.integers(-5, 20))) for _ in range(draw(st.integers(1, 4))))
+        argv.append(f"--offsets={draw(st.sampled_from([offsets] * 9 + [offsets + 'x']))}")
+    return argv
+
+
+# header values that no reader takes, or that change what the document says
+BAD_HEADER_VALUES = ["", "x", "0", "-1", "1,2,3,4", "c1,c1", "chromatile/layered/v1"]
+
+
+@st.composite
+def decompose_texts(draw):
+    """A generating-set file for ``decompose``: n <= 3 and up to four
+    vectors, closed under negation or not, now and then with an ``n=``
+    line that is missing, not a number or below 1, and a vector of the
+    wrong dimension or not a vector at all."""
+    n = draw(st.integers(1, 3))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    vectors = draw(st.sampled_from([units, []]))
+    vectors += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4))
+    if draw(st.booleans()):
+        vectors += [tuple(-x for x in v) for v in vectors]
+    lines = [",".join(map(str, v)) for v in vectors]
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from(["1,x", "1,,2", ",".join(["1"] * (n + 1)), "#", "n=2"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    head = draw(st.sampled_from([f"n={n}"] * 6 + ["n=x", "n=0", "n=-1", "n", ""]))
+    return "\n".join([head, *lines]) + "\n"
+
+
+@st.composite
+def render_documents(draw):
+    """A small written coloring document, a rect colored by bc1 or a
+    torus tiled at d = 2, with at most one record dropped, duplicated or
+    recolored, or one header line edited or dropped; and random --slice
+    values, now and then not of the form axis=value."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        box = Box(tuple(draw(st.integers(-2, 2)) for _ in range(n)),
+                  tuple(draw(st.integers(1, 3)) for _ in range(n)))
+        doc = document_for_rect(box.origin, box.sizes, "bc1", color_bc1(box))
+    else:
+        moduli = tuple(draw(st.integers(2, 5)) for _ in range(n))
+        coloring = color_tiling(brick_tiling(Torus(moduli), 2), mode="plain")
+        doc = document_for_torus(moduli, 2, "plain", coloring)
+    lines = serialize_coloring(doc).splitlines()
+    records = [i for i, line in enumerate(lines) if ";" in line]
+    mutation = draw(st.sampled_from(["none", "drop", "duplicate", "recolor", "header"]))
+    i = draw(st.sampled_from(records))
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+        if draw(st.booleans()):  # keep edges= in step, so the reader meets the copy
+            lines = [f"edges={len(records) + 1}" if line.startswith("edges=") else line
+                     for line in lines]
+    elif mutation == "recolor":
+        base, cls, _ = lines[i].split(";")
+        color = draw(st.sampled_from(palette(n) + ["c9", "", "0"]))
+        lines[i] = f"{base};{cls}; {color}"
+    elif mutation == "header":
+        j = draw(st.integers(0, records[0] - 1))
+        key = lines[j].split("=", 1)[0]
+        edited = draw(st.sampled_from([None] + [f"{key}={v}" for v in BAD_HEADER_VALUES]))
+        lines[j:j + 1] = [] if edited is None else [edited]
+    slices = []
+    for _ in range(draw(st.integers(0, 2))):
+        pin = f"{draw(st.integers(-1, 4))}={draw(st.integers(-2, 6))}"
+        slices += ["--slice", draw(st.sampled_from([pin] * 9 + ["x=1", "1"]))]
+    return "\n".join(lines) + "\n", slices
+
+
 def _call(argv):
     """main(argv) with its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -691,6 +776,41 @@ class TestCli:
         path = tmp_path_factory.getbasetemp() / "fuzz-layered.txt"
         path.write_text(genset, encoding="utf-8")
         code, out, _ = _call(["layered", "--genset", str(path), *argv])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(color_torus_calls())
+    def test_color_torus_fuzz(self, argv):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        code, out, _ = _call(["color-torus", *argv])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decompose_texts(), st.booleans())
+    def test_decompose_fuzz(self, tmp_path_factory, text, symmetrize):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        path = tmp_path_factory.getbasetemp() / "fuzz-decompose.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = _call(["decompose", str(path)] + ["--symmetrize"] * symmetrize)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(render_documents())
+    def test_render_fuzz(self, tmp_path_factory, case):
+        """Every call ends in an exit code, and a failing one prints nothing
+        to stdout."""
+        text, slices = case
+        path = tmp_path_factory.getbasetemp() / "fuzz-render.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = _call(["render", "--in", str(path), *slices])
         assert code in (0, 1, 2, 3)
         if code:
             assert out == ""

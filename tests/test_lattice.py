@@ -241,6 +241,14 @@ class TestConstants:
         assert dec.gamma == 6
         assert dec.d % 4 == 2
 
+    def test_decomposition_is_hashable(self):
+        dec = decompose_with_constants(GeneratorSet.standard(2))
+        again = decompose_with_constants(GeneratorSet.standard(2))
+        assert dec == again and hash(dec) == hash(again)
+        diag = decompose_with_constants(GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)]))
+        assert len({dec, again, diag}) == 2
+        assert diag.a_coeffs == ((6, 6), (6,))  # indexed by level
+
     @pytest.mark.parametrize(
         "vectors",
         [

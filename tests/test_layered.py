@@ -1,5 +1,6 @@
 """Coset models and the multi-level coloring pipeline."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from chromatile.layered import (
     run_pipeline,
     verify_layered,
 )
-from chromatile.tiling import brick_tiling, color_tiling
+from chromatile.tiling import brick_tiling, color_tiling, verify_tiling_coloring
 from reference import orbit_reps_by_walk, to_ambient
 
 S_ONE_TWO = GeneratorSet.from_vectors([(1,), (2,)])
@@ -196,8 +197,6 @@ class TestRunLayered:
         other = next(c for c in good.values() if c != good[key])
         bad = dict(good)
         bad[key] = other
-        from dataclasses import replace
-
         broken = replace(run.result, coloring=bad)
         report = verify_layered(broken, S_ONE_TWO, (6277,))
         assert not report.ok
@@ -298,6 +297,20 @@ class TestLayeredLocality:
         assert any(len({place for place, _ in g}) > 1 for g in groups.values())
 
 
+def placed_core_edges(result):
+    """Every ambient edge of every core that the result's shifts place,
+    mapped one chart edge at a time."""
+    allowed = set()
+    for (level, rep, idx), a in result.shifts.items():
+        model = result.models[level]
+        t = tuple(a * c for c in result.dec.a_coeffs[level])
+        core = result.tilings[level].regions[idx].shifted_core(t)
+        for base, axis in edges_in(core):
+            base = model.chart_torus().reduce(base)
+            allowed.add((to_ambient(model, rep, base), model.basis[axis - 1]))
+    return allowed
+
+
 def reference_layered_problems(result, s, moduli):
     """The dict-of-sets reading of the layered conditions, for comparison."""
     torus = Torus(tuple(moduli))
@@ -306,15 +319,14 @@ def reference_layered_problems(result, s, moduli):
     if set(dict(coloring.items())) != expected:
         return ["totality"]
     level_of = {b: m.level for m in result.models for b in m.basis}
+    cores = placed_core_edges(result)
     for (base, step), color in coloring.items():
         level = level_of[step]
         chart_dim = result.models[level].chart_dim
         if color != ZERO and color not in level_palette(level, chart_dim):
             return ["palette"]
-        if color == ZERO:
-            ks = result.k_sets[level]
-            if base not in ks or torus.add(base, step) not in ks:
-                return ["escapes"]
+        if color == ZERO and (base, step) not in cores:
+            return ["escapes"]
     at_vertex = {}
     for (base, step), color in coloring.items():
         for v in (base, torus.add(base, step)):
@@ -337,8 +349,6 @@ class TestLayeredVerifier:
         return run
 
     def mutant(self, run, coloring):
-        from dataclasses import replace
-
         return replace(run.result, coloring=coloring)
 
     def test_every_single_edge_recolor(self, run13):
@@ -382,6 +392,60 @@ class TestLayeredVerifier:
         )
         assert not report.ok
         assert any("color 0 escapes" in p for p in report.problems)
+
+    @pytest.mark.parametrize(
+        "n,key", [(2, ((0, 2), (0, 1))), (3, ((0, 0, 2), (0, 0, 1)))], ids=["3x3", "3x3x3"]
+    )
+    def test_zero_on_a_wrap_edge_rejected(self, n, key):
+        # at d = 2 the one region of the 3^n torus, and so its core, spans
+        # the whole torus: both ends of the wrap edge lie in the core set,
+        # yet the edge is not an edge of the core box
+        s, moduli = GeneratorSet.standard(n), (3,) * n
+        run = run_pipeline(s, moduli, d_override=2)
+        assert run.report.ok and run.result.coloring[key] == "c1@0"
+        torus = Torus(moduli)
+        assert {key[0], torus.add(*key)} <= run.result.k_sets[0]
+        report = verify_layered(
+            self.mutant(run, {**run.result.coloring, key: ZERO}), s, moduli
+        )
+        assert not report.ok
+        assert report.problems == (
+            f"color 0 escapes the level-0 cores at {key} (1 edges in all)",
+        )
+        # the torus path rejects the same edge carrying its extra color
+        tiling = brick_tiling(torus, 2)
+        coloring = color_tiling(tiling, mode="core")
+        axis = key[1].index(1) + 1
+        wrapped = {**coloring, (key[0], axis): str(n + 1)}
+        assert any(
+            "escapes the cores" in p
+            for p in verify_tiling_coloring(wrapped, tiling, "core").problems
+        )
+
+    @pytest.mark.parametrize("n", [2, 3], ids=["3x3", "3x3x3"])
+    def test_core_set_must_match_the_placed_cores(self, n):
+        s, moduli = GeneratorSet.standard(n), (3,) * n
+        run = run_pipeline(s, moduli, d_override=2)
+        ks = run.result.k_sets[0]
+        for k_set in (ks - {min(ks)}, ks | {(3,) * n}):
+            report = verify_layered(replace(run.result, k_sets=(k_set,)), s, moduli)
+            assert report.problems == (
+                "level 0: core set differs from the cores its shifts place",
+            )
+
+    def test_every_single_edge_recolor_on_a_whole_torus_core(self):
+        # the core is the whole 3 x 3 torus, so color 0 on a wrap edge
+        # has both ends in the core set
+        s, moduli = GeneratorSet.standard(2), (3, 3)
+        run = run_pipeline(s, moduli, d_override=2)
+        good = dict(run.result.coloring.items())
+        colors = sorted(set(good.values()))
+        for key, color in good.items():
+            for wrong in colors:
+                if wrong != color:
+                    result = self.mutant(run, {**good, key: wrong})
+                    report = verify_layered(result, s, moduli)
+                    assert report.ok == (not reference_layered_problems(result, s, moduli))
 
     def test_other_level_and_off_palette_colors_rejected(self, run13):
         good = dict(run13.result.coloring.items())

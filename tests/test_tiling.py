@@ -15,7 +15,6 @@ from chromatile.rectcolor import (
 )
 from chromatile.tiling import (
     Tiling,
-    allowed_core_edges,
     brick_tiling,
     color_tiling,
     first_odd_axis,
@@ -26,6 +25,7 @@ from chromatile.tiling import (
     validate_tiling,
     verify_tiling_coloring,
 )
+from reference import allowed_core_edges
 
 
 class TestSegments:
