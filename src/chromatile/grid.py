@@ -78,34 +78,8 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# edge enumeration for (possibly degenerate) boxes
-#
-# The private helpers accept size-0 extents so rectangle colorers can
-# treat slices of a box as lower-dimensional boxes without leaving the
-# ambient coordinates.  The public functions only see real Box values.
+# edge enumeration for boxes
 # ---------------------------------------------------------------------------
-
-def _vertices(origin: Vertex, sizes: tuple[int, ...]) -> Iterator[Vertex]:
-    return product(*[range(b, b + a + 1) for b, a in zip(origin, sizes)])
-
-
-def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
-    edges = []
-    for ax in axes:
-        i = ax - 1
-        cross = [
-            (b,) if j == i else range(b, b + a + 1)
-            for j, (b, a) in enumerate(zip(origin, sizes))
-        ]
-        low = [(origin[i] - 1,) if j == i else r for j, r in enumerate(cross)]
-        high = [(origin[i] + sizes[i],) if j == i else r for j, r in enumerate(cross)]
-        for base in product(*low):
-            edges.append((base, ax))
-        for base in product(*high):
-            edges.append((base, ax))
-    edges.sort()
-    return edges
-
 
 def edges_in(box: Box) -> list[Edge]:
     """All edges with both endpoints in the box, in deterministic order.
@@ -130,7 +104,14 @@ def adjacent_edges(box: Box) -> list[Edge]:
     with an edge of the box; per axis i there are 2 * prod_{j != i}
     (a_j + 1) of them.
     """
-    return _adjacent_edges(box.origin, box.sizes, range(1, box.n + 1))
+    edges = []
+    for i, (b, a) in enumerate(zip(box.origin, box.sizes)):
+        ranges = [range(c, c + s + 1) for c, s in zip(box.origin, box.sizes)]
+        for end in (b - 1, b + a):
+            ranges[i] = (end,)
+            edges += [(base, i + 1) for base in product(*ranges)]
+    edges.sort()
+    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,9 @@ def verify_layered(
 
     A level's edges carry only its own palette, and color 0 only on edges
     of the cores that its shifts place, mapped through its orbit table.
+    Each shift must name a level, one of its orbit representatives and
+    an all-even region, and pass ``rectcolor.check_shift``; a shift that
+    fails is reported and places no core.
     Its ``k_sets`` entry must be the vertices of those cores, and core
     sets of distinct levels must be disjoint.
     """
@@ -401,12 +404,26 @@ def verify_layered(
     index, classes = _torus_frame(torus.moduli, steps)
 
     cores: list[set[int]] = [set() for _ in result.models]
+    reps = [set(model.reps) for model in result.models]
     placed: dict = {}  # (level, region index, a) -> the core's chart origin and vertices
-    for (level, rep, idx), a in result.shifts.items():
+    for key, a in result.shifts.items():
+        level, rep, idx = key
+        if level not in range(len(reps)) or rep not in reps[level]:
+            problems.append(f"shift {key} names no orbit representative of a level")
+            continue
+        regions = result.tilings[level].regions
+        if idx not in range(len(regions)) or not is_all_even(regions[idx]):
+            problems.append(f"shift {key} names no all-even region of level {level}")
+            continue
         model = result.models[level]
         if (level, idx, a) not in placed:
-            region = result.tilings[level].regions[idx]
-            origin = region.shifted_core(vscale(a, result.dec.a_coeffs[level])).origin
+            t = vscale(a, result.dec.a_coeffs[level])
+            try:
+                check_shift(regions[idx], t)
+            except (InfeasibleError, InvalidInputError) as exc:
+                problems.append(f"shift {key} places no core: {exc}")
+                continue
+            origin = regions[idx].shifted_core(t).origin
             placed[(level, idx, a)] = (
                 origin, _box_index(origin, [3] * len(origin), model.chart_moduli))
         origin, vertices = placed[(level, idx, a)]

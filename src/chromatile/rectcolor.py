@@ -14,6 +14,17 @@ verifiers that certify them:
 * ``color_shifted_core``: same, with the core moved by an even
   shift vector t, |t_i| <= 2k-2.
 
+The first two read each edge's color off its coordinates by one rule,
+the paper's peeling induction unrolled.  The axes r_1..r_m are peeled
+from r_m down, and peeling r_j adds c_{r_j} and a second color s_j:
+P(j+1), except that ``color_bc2`` peels its odd axis first with s =
+c_odd.  With x an edge's base relative to the origin and a_i the sides,
+an edge along r_j is c_{r_j} when adjacent (x_{r_j} = -1 or a_{r_j}),
+s_j when x_{r_j} is odd, else free_{j-1}(x), the color its vertex
+misses on r_1..r_{j-1}: free_0 = P(1), and free_i(x) is c_{r_i} when
+0 < x_{r_i} < a_{r_i}, s_i when x_{r_i} = 0 or x_{r_i} = a_{r_i} is
+odd, and free_{i-1}(x) when x_{r_i} = a_{r_i} is even.
+
 All constructions are deterministic and translation-equivariant: every
 coordinate is the box origin plus an offset that depends only on the
 sizes (and shift), so boxes of one size get the same coloring up to
@@ -28,20 +39,12 @@ producing a silently improper coloring.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
-from .errors import ColorConflictError, InfeasibleError, InvalidInputError, VerificationError
+from .errors import ColorConflictError, InfeasibleError, InvalidInputError
 from .grid import (
-    Box,
-    Edge,
-    Vertex,
-    _adjacent_edges,
-    _box_frame,
-    _mark_core,
-    _scan_coloring,
-    _vertices,
-    adjacent_edges,
-    edges_in,
+    Box, Edge, Vertex, _box_frame, _mark_core, _scan_coloring, adjacent_edges, edges_in,
 )
 from .lattice import Vector
 
@@ -69,98 +72,60 @@ def _store(colors: dict, edge, color: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# construction internals
-#
-# Every builder writes into the dict it is given, through ``_store``.
-# The recursion peels one axis at a time, so intermediate "layers" are
-# boxes with extent 0 along the peeled axes.  ``axes`` always lists the
-# still-active axes (1-based, in the order ``_bc1`` was given).
+# construction internals: every builder writes into the dict it is given,
+# through ``_store``
 # ---------------------------------------------------------------------------
 
-def _vertex_colors(coloring: dict[Edge, str], v: Vertex, axes: Sequence[int]) -> set:
-    """Colors already present on edges at v along the given axes."""
-    seen = set()
-    for ax in axes:
-        down = tuple(x - 1 if i == ax - 1 else x for i, x in enumerate(v))
-        for e in ((v, ax), (down, ax)):
-            c = coloring.get(e)
-            if c is not None:
-                seen.add(c)
-    return seen
-
-
-def _pick_free(candidates: Sequence[str], taken: set) -> str:
-    for c in candidates:
-        if c not in taken:
-            return c
-    raise VerificationError("no free color; candidate accounting is broken")
-
-
-def _alternate_path(
-    out: dict[Edge, str], start: Vertex, axis: int, count: int, first: str, second: str
-) -> None:
-    """Color ``count`` consecutive axis-parallel edges first, second, first, ..."""
-    base = list(start)
-    for step in range(count):
-        _store(out, (tuple(base), axis), first if step % 2 == 0 else second)
-        base[axis - 1] += 1
-
-
-def _peel(
-    out: dict[Edge, str],
-    origin: Vertex,
-    sizes: tuple[int, ...],
-    rest: tuple[int, ...],
-    peel: int,
-    second: str,
-) -> None:
-    """The inductive step: color a layer, copy it along ``peel``, close the paths.
-
-    The layer (extent 0 along ``peel``) is colored over the ``rest`` axes
-    by ``_bc1`` and copied to every height.  Adjacent edges along
-    ``peel`` take its direction color, and each path along ``peel``
-    alternates the layer vertex's first free color with ``second``:
-    the fresh plain color for 2n+1 colors, or c_peel when the side is
-    odd (an odd path starts and ends with the free color).
+def _read_off(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...],
+              chain: Sequence[tuple[int, str]]) -> None:
+    """Color the box and its adjacent edges by the rule of the module
+    docstring; ``chain`` lists (r_j, s_j) for j = 1..m.  Each path along
+    r_j is written as one run: c_{r_j}, free, s_j, free, ..., c_{r_j}.
     """
-    i = peel - 1
-    layer_sizes = tuple(0 if j == i else a for j, a in enumerate(sizes))
-    layer: dict[Edge, str] = {}
-    _bc1(layer, origin, layer_sizes, rest)
-    for h in range(sizes[i] + 1):
-        for (base, axis), color in layer.items():
-            _store(out, (base[:i] + (base[i] + h,) + base[i + 1:], axis), color)
-
-    for e in _adjacent_edges(origin, sizes, (peel,)):
-        _store(out, e, C(peel))
-
-    candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, len(rest) + 2)]
-    for pos in _vertices(origin, layer_sizes):
-        taken = _vertex_colors(layer, pos, rest)
-        if len(taken) != 2 * len(rest):
-            raise VerificationError("layer vertex is missing incident colors")
-        free = _pick_free(candidates, taken)
-        _alternate_path(out, pos, peel, sizes[i], free, second)
+    first = P(1)
+    # misses[i][x]: the color a vertex at coordinate x along r_i misses
+    # on the first i axes, or None where it misses free_{i-1}
+    misses: list[dict[int, Optional[str]]] = []
+    for j, (ax, second) in enumerate(chain):
+        i, a = ax - 1, sizes[ax - 1]
+        direction = C(ax)
+        below = [(misses[p], chain[p][0] - 1) for p in reversed(range(j))]
+        cross = [(b,) if k == i else range(b, b + s + 1)
+                 for k, (b, s) in enumerate(zip(origin, sizes))]
+        for start in product(*cross):
+            free = next((m for row, k in below if (m := row[start[k]]) is not None), first)
+            base = list(start)
+            base[i] -= 1
+            _store(out, (tuple(base), ax), direction)
+            for h in range(a):
+                base[i] += 1
+                _store(out, (tuple(base), ax), second if h % 2 else free)
+            base[i] += 1
+            _store(out, (tuple(base), ax), direction)
+        misses.append({origin[i] + x: second if x == 0 else direction if x < a
+                       else second if a % 2 else None for x in range(a + 1)})
 
 
 def _bc1(
     out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
 ) -> None:
-    """Boundary-condition coloring over the active axes with 2*dim+1 colors.
-
-    dim = len(axes).  Colors used: c_ax for active axes plus plain
-    colors 1..dim+1.  Peels the last axis; no axes give no edges.
-    """
-    if axes:
-        _peel(out, origin, sizes, axes[:-1], axes[-1], P(len(axes) + 1))
+    """Boundary-condition coloring with 2n+1 colors: the rule with
+    r_1..r_m = ``axes`` and s_j = P(j+1), so r_m is peeled first."""
+    _read_off(out, origin, sizes, [(ax, P(j)) for j, ax in enumerate(axes, start=2)])
 
 
 def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
-    """Boundary-condition coloring with 2n colors; needs an odd side."""
+    """Boundary-condition coloring with 2n colors; needs an odd side.
+
+    The rule over the other axes in ascending order with s_j = P(j+1),
+    then the odd axis with s_m = c_odd: its odd paths start and end
+    with the free color, so color n+1 is never used.
+    """
     if sizes[odd_axis - 1] % 2 == 0:
         raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
-    rest = tuple(ax for ax in range(1, len(sizes) + 1) if ax != odd_axis)
-    _peel(out, origin, sizes, rest, odd_axis, C(odd_axis))
+    rest = [ax for ax in range(1, len(sizes) + 1) if ax != odd_axis]
+    chain = [(ax, P(j)) for j, ax in enumerate(rest, start=2)]
+    _read_off(out, origin, sizes, chain + [(odd_axis, C(odd_axis))])
 
 
 def _shifted_core(box: Box, t: Vector) -> dict[Edge, str]:

@@ -14,6 +14,11 @@ Each one reads a definition literally and makes no claim to speed:
 * ``to_ambient``: one chart point of a level mapped onto the torus, the
   scalar form of ``CosetModel.orbit``;
 * ``admissible_shifts``: every even core shift a side-d cube admits;
+* ``_bc1`` and ``_bc2``: the rectangle builders as the induction is
+  written, through ``_peel``: color a layer recursively, copy it to
+  every height and search each layer vertex's free color among the
+  candidates, the reference for the closed-form rule of
+  ``chromatile.rectcolor._read_off``;
 * ``SftPattern``, ``matching_patterns`` and ``respects``: forbidden
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
@@ -52,6 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from chromatile.document import (
@@ -77,6 +83,7 @@ from chromatile.lattice import (
 )
 from chromatile.layered import CosetModel
 from chromatile.lowerbound import _check_moduli
+from chromatile.rectcolor import C, P, _store
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
 from chromatile.tiling import Tiling, is_all_even
 
@@ -168,6 +175,118 @@ def admissible_shifts(d: int, n: int) -> Iterator[Vector]:
             yield from rec(prefix + (v,))
 
     return rec(())
+
+
+# ---------------------------------------------------------------------------
+# the peeling rectangle builders, as the induction is written
+# ---------------------------------------------------------------------------
+
+def _vertices(origin: Vertex, sizes: tuple[int, ...]) -> Iterator[Vertex]:
+    return product(*[range(b, b + a + 1) for b, a in zip(origin, sizes)])
+
+
+def _adjacent_edges(origin: Vertex, sizes: tuple[int, ...], axes: Iterable[int]) -> list[Edge]:
+    edges = []
+    for ax in axes:
+        i = ax - 1
+        cross = [
+            (b,) if j == i else range(b, b + a + 1)
+            for j, (b, a) in enumerate(zip(origin, sizes))
+        ]
+        low = [(origin[i] - 1,) if j == i else r for j, r in enumerate(cross)]
+        high = [(origin[i] + sizes[i],) if j == i else r for j, r in enumerate(cross)]
+        for base in product(*low):
+            edges.append((base, ax))
+        for base in product(*high):
+            edges.append((base, ax))
+    edges.sort()
+    return edges
+
+
+def _vertex_colors(coloring: dict[Edge, str], v: Vertex, axes: Sequence[int]) -> set:
+    """Colors already present on edges at v along the given axes."""
+    seen = set()
+    for ax in axes:
+        down = tuple(x - 1 if i == ax - 1 else x for i, x in enumerate(v))
+        for e in ((v, ax), (down, ax)):
+            c = coloring.get(e)
+            if c is not None:
+                seen.add(c)
+    return seen
+
+
+def _pick_free(candidates: Sequence[str], taken: set) -> str:
+    for c in candidates:
+        if c not in taken:
+            return c
+    raise VerificationError("no free color; candidate accounting is broken")
+
+
+def _alternate_path(
+    out: dict[Edge, str], start: Vertex, axis: int, count: int, first: str, second: str
+) -> None:
+    """Color ``count`` consecutive axis-parallel edges first, second, first, ..."""
+    base = list(start)
+    for step in range(count):
+        _store(out, (tuple(base), axis), first if step % 2 == 0 else second)
+        base[axis - 1] += 1
+
+
+def _peel(
+    out: dict[Edge, str],
+    origin: Vertex,
+    sizes: tuple[int, ...],
+    rest: tuple[int, ...],
+    peel: int,
+    second: str,
+) -> None:
+    """The inductive step: color a layer, copy it along ``peel``, close the paths.
+
+    The layer (extent 0 along ``peel``) is colored over the ``rest`` axes
+    by ``_bc1`` and copied to every height.  Adjacent edges along
+    ``peel`` take its direction color, and each path along ``peel``
+    alternates the layer vertex's first free color with ``second``:
+    the fresh plain color for 2n+1 colors, or c_peel when the side is
+    odd (an odd path starts and ends with the free color).
+    """
+    i = peel - 1
+    layer_sizes = tuple(0 if j == i else a for j, a in enumerate(sizes))
+    layer: dict[Edge, str] = {}
+    _bc1(layer, origin, layer_sizes, rest)
+    for h in range(sizes[i] + 1):
+        for (base, axis), color in layer.items():
+            _store(out, (base[:i] + (base[i] + h,) + base[i + 1:], axis), color)
+
+    for e in _adjacent_edges(origin, sizes, (peel,)):
+        _store(out, e, C(peel))
+
+    candidates = [C(ax) for ax in sorted(rest)] + [P(j) for j in range(1, len(rest) + 2)]
+    for pos in _vertices(origin, layer_sizes):
+        taken = _vertex_colors(layer, pos, rest)
+        if len(taken) != 2 * len(rest):
+            raise VerificationError("layer vertex is missing incident colors")
+        free = _pick_free(candidates, taken)
+        _alternate_path(out, pos, peel, sizes[i], free, second)
+
+
+def _bc1(
+    out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
+) -> None:
+    """Boundary-condition coloring over the active axes with 2*dim+1 colors.
+
+    dim = len(axes).  Colors used: c_ax for active axes plus plain
+    colors 1..dim+1.  Peels the last axis; no axes give no edges.
+    """
+    if axes:
+        _peel(out, origin, sizes, axes[:-1], axes[-1], P(len(axes) + 1))
+
+
+def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
+    """Boundary-condition coloring with 2n colors; needs an odd side."""
+    if sizes[odd_axis - 1] % 2 == 0:
+        raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
+    rest = tuple(ax for ax in range(1, len(sizes) + 1) if ax != odd_axis)
+    _peel(out, origin, sizes, rest, odd_axis, C(odd_axis))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from chromatile.document import (
 )
 from chromatile.errors import InvalidInputError
 from chromatile.grid import Box, Torus
-from chromatile.lattice import GeneratorSet
+from chromatile.lattice import GeneratorSet, parse_vec
 from chromatile.layered import run_pipeline
 from chromatile.lowerbound import respects_matching
 from chromatile.rectcolor import (
@@ -33,7 +33,7 @@ from chromatile.rectcolor import (
     verify_shifted_core,
 )
 from chromatile.render import render_svg
-from chromatile.tiling import brick_tiling, color_tiling
+from chromatile.tiling import brick_tiling, color_tiling, verify_tiling_coloring
 from reference import read_coloring as reference_read_coloring
 from reference import render_svg as reference_render_svg
 from reference import serialize_coloring as reference_serialize_coloring
@@ -141,9 +141,6 @@ class TestColoringDocuments:
         assert serialize_coloring(back) == text
         # the tiling context is recoverable from the header, and the
         # parsed coloring re-verifies to the same verdict
-        from chromatile.document import parse_vec
-        from chromatile.tiling import verify_tiling_coloring
-
         moduli = parse_vec(back.meta["moduli"])
         rebuilt = brick_tiling(
             Torus(moduli), int(back.meta["d"]), offsets=parse_vec(back.meta["offsets"])
@@ -620,6 +617,28 @@ def render_documents(draw):
     return "\n".join(lines) + "\n", slices
 
 
+def _recertify(text):
+    """Certify a printed coloring document from its own header alone: a
+    rect on the box of origin= and sizes= with the shift of t=, a torus
+    on the brick tiling rebuilt from moduli=, d= and seed= or offsets=."""
+    doc = parse_coloring_document(text)
+    meta = doc.meta
+    if doc.kind == "rect":
+        box = Box(parse_vec(meta["origin"]), parse_vec(meta["sizes"]))
+        if meta["mode"] == "core":
+            return verify_shifted_core(doc.coloring, box, (0,) * doc.n)
+        if meta["mode"] == "shifted":
+            return verify_shifted_core(doc.coloring, box, parse_vec(meta["t"]))
+        return verify_boundary_condition(doc.coloring, box)
+    tiling = brick_tiling(
+        Torus(parse_vec(meta["moduli"])),
+        int(meta["d"]),
+        offsets=parse_vec(meta["offsets"]) if "offsets" in meta else None,
+        seed=int(meta["seed"]) if "seed" in meta else None,
+    )
+    return verify_tiling_coloring(doc.coloring, tiling, meta["mode"]).ok
+
+
 def _call(argv):
     """main(argv) with its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -760,18 +779,21 @@ class TestCli:
     @settings(max_examples=300, deadline=None)
     @given(color_rect_calls())
     def test_color_rect_fuzz(self, argv):
-        """Every call ends in an exit code, and a failing one prints nothing
-        to stdout."""
+        """Every call ends in an exit code, a failing one prints nothing to
+        stdout, and the document a passing one prints certifies from its
+        own header."""
         code, out, _ = _call(["color-rect", *argv])
         assert code in (0, 1, 2, 3)
         if code:
             assert out == ""
+        else:
+            assert _recertify(out)
 
     @settings(max_examples=300, deadline=None)
     @given(layered_calls())
     def test_layered_fuzz(self, tmp_path_factory, call):
-        """Every call ends in an exit code, and a failing one prints nothing
-        to stdout."""
+        """Every call ends in an exit code, a failing one prints nothing to
+        stdout, and a passing one ends its report with the verified line."""
         argv, genset = call
         path = tmp_path_factory.getbasetemp() / "fuzz-layered.txt"
         path.write_text(genset, encoding="utf-8")
@@ -779,16 +801,21 @@ class TestCli:
         assert code in (0, 1, 2, 3)
         if code:
             assert out == ""
+        else:
+            assert out.endswith("verified: proper, total, palette bound, zero confinement\n")
 
     @settings(max_examples=300, deadline=None)
     @given(color_torus_calls())
     def test_color_torus_fuzz(self, argv):
-        """Every call ends in an exit code, and a failing one prints nothing
-        to stdout."""
+        """Every call ends in an exit code, a failing one prints nothing to
+        stdout, and the document a passing one prints certifies from its
+        own header."""
         code, out, _ = _call(["color-torus", *argv])
         assert code in (0, 1, 2, 3)
         if code:
             assert out == ""
+        else:
+            assert _recertify(out)
 
     @settings(max_examples=300, deadline=None)
     @given(decompose_texts(), st.booleans())

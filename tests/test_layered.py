@@ -433,6 +433,27 @@ class TestLayeredVerifier:
                 "level 0: core set differs from the cores its shifts place",
             )
 
+    @pytest.mark.parametrize(
+        "shifts,line",
+        [
+            ({(0, (0, 0), 5): 0}, "shift (0, (0, 0), 5) names no all-even region of level 0"),
+            ({(1, (0, 0), 0): 0}, "shift (1, (0, 0), 0) names no orbit representative"),
+            ({(0, (0, 0), 0): 4}, "shift (0, (0, 0), 0) places no core: shift (24, 0) exceeds"),
+            ({(0, (1, 1), 0): 0}, "shift (0, (1, 1), 0) names no orbit representative"),
+        ],
+        ids=["no-region", "no-level", "out-of-range", "not-a-rep"],
+    )
+    def test_bad_shift_is_a_problem_line(self, shifts, line):
+        # the 3 x 3 run's one shift is {(0, (0, 0), 0): 0}; its one orbit
+        # rep is (0, 0), its one region is 2 x 2 and a_coeffs[0] = (6, 0)
+        s, moduli = GeneratorSet.standard(2), (3, 3)
+        run = run_pipeline(s, moduli, d_override=2)
+        assert run.result.shifts == {(0, (0, 0), 0): 0}
+        report = verify_layered(replace(run.result, shifts=shifts), s, moduli)
+        assert not report.ok
+        bad = [p for p in report.problems if p.startswith("shift ")]
+        assert len(bad) == 1 and bad[0].startswith(line)
+
     def test_every_single_edge_recolor_on_a_whole_torus_core(self):
         # the core is the whole 3 x 3 torus, so color 0 on a wrap edge
         # has both ends in the core set

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatile.errors import (
     ColorConflictError,
@@ -14,6 +16,7 @@ from chromatile.rectcolor import (
     C,
     P,
     _bc1,
+    _bc2,
     _store,
     color_bc1,
     color_bc2,
@@ -23,6 +26,7 @@ from chromatile.rectcolor import (
     verify_boundary_condition,
     verify_shifted_core,
 )
+import reference
 from reference import admissible_shifts, endpoints, verify_proper
 
 
@@ -163,6 +167,40 @@ class TestBc2:
         assert first
         for h in range(1, 4):
             assert slice_colors(h) == first
+
+
+@st.composite
+def build_cases(draw):
+    """A box with n <= 4, sides 1..9 and a random origin, capped at 1,000
+    vertices or so, which keeps the peeling reference quick, and an axis
+    order."""
+    n = draw(st.integers(1, 4))
+    sizes, vertices = [], 1
+    for _ in range(n):
+        side = draw(st.integers(1, max(1, min(9, 1000 // vertices - 1))))
+        sizes.append(side)
+        vertices *= side + 1
+    origin = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    return origin, tuple(sizes), tuple(draw(st.permutations(range(1, n + 1))))
+
+
+class TestAgainstPeeling:
+    """The closed-form rule gives exactly what the peeling induction gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(build_cases())
+    def test_equals_peeling_reference(self, case):
+        origin, sizes, order = case
+        ours, peeled = {}, {}
+        _bc1(ours, origin, sizes, order)
+        reference._bc1(peeled, origin, sizes, order)
+        assert ours == peeled
+        for ax in range(1, len(sizes) + 1):
+            if sizes[ax - 1] % 2:
+                ours, peeled = {}, {}
+                _bc2(ours, origin, sizes, ax)
+                reference._bc2(peeled, origin, sizes, ax)
+                assert ours == peeled
 
 
 class TestCore:

@@ -46,6 +46,38 @@ def test_imports_stay_light():
     assert not found
 
 
+def test_no_dead_private_names():
+    """Every module-level private name in ``src/`` (a function, class or
+    constant) is read somewhere in ``src/`` outside its own definition,
+    so a helper whose last caller went fails here."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(chromatile.__file__).parent.glob("*.py"))]
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    ]
+    dead = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(inner) for inner in ast.walk(node)}
+            dead += [
+                name for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and not any(read == name and at not in inside for read, at in reads)
+            ]
+    assert not dead
+
+
 def _module_state() -> dict:
     """A copy of every module-level dict, list, set and bytearray in the package."""
     return {
