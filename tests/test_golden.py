@@ -87,6 +87,9 @@ GOLDEN = [
      "9d19382819b012cb3146e2dc55f4c8bea04ba82c6629bf5b3700917fb10a1684"),
     ("render-slice", ["render", "--in", "{cube3}", "--slice", "3=5", "--out", "{out}"], "out",
      "3e6e26e23107515054f7a225567f0f98accd81d814a234bb047cbf66a0209b10"),
+    # free axes 1 and 3 around the pinned axis 2
+    ("render-slice2", ["render", "--in", "{cube3}", "--slice", "2=4", "--out", "{out}"], "out",
+     "a9c7a8b293a9a55372530b98a804fe5cba80075fd365689d286e4c76886dc7c8"),
     ("render-wrap2", ["render", "--in", "{wrap2}", "--out", "{out}"], "out",
      "ac4e1ec69b9f2582a80893ebd55ea02f8ec04a57772765a39ebff0680dc62279"),
     # perfect matchings, found and none, on the standard set and on +-{1, 2}
