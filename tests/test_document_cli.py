@@ -413,9 +413,11 @@ class TestRender:
         (((0, 0, 7), 1), {3: 7}),  # off the frame on the sliced axis only
         (((0, 0), 3), {}),  # no such axis
         (((0, 0), 0), {}),
+        (((0, 0), 1), {3: 0}),  # a base without the sliced axis
+        (((0, 0, 0), 1), {}),  # a base of three coordinates on a 2-D torus
     ])
     def test_edge_off_the_frame_rejected(self, key, slices):
-        n = len(key[0])
+        n = max(slices, default=2)
         meta = {"moduli": ",".join(["3"] * n)}
         doc = ColoringDocument("torus", n, meta, palette(n), {key: "1"})
         with pytest.raises(InvalidInputError) as err:
