@@ -376,8 +376,9 @@ def verify_layered(
 
     A level's edges carry only its own palette, and color 0 only on edges
     of the cores that its shifts place, mapped through its orbit table.
-    Each shift must name a level, one of its orbit representatives and
-    an all-even region, and pass ``rectcolor.check_shift``; a shift that
+    Each shift must be keyed by an int level, one of its orbit
+    representatives and an int region index naming an all-even region,
+    have an int factor, and pass ``rectcolor.check_shift``; a shift that
     fails is reported and places no core.
     Its ``k_sets`` entry must be the vertices of those cores, and core
     sets of distinct levels must be disjoint.
@@ -407,6 +408,13 @@ def verify_layered(
     reps = [set(model.reps) for model in result.models]
     placed: dict = {}  # (level, region index, a) -> the core's chart origin and vertices
     for key, a in result.shifts.items():
+        if not (isinstance(key, tuple) and len(key) == 3
+                and isinstance(key[0], int) and isinstance(key[2], int)):
+            problems.append(f"shift {key!r} is not a (level, orbit rep, region index) key")
+            continue
+        if not isinstance(a, int):
+            problems.append(f"shift {key} has factor {a!r}, not an int")
+            continue
         level, rep, idx = key
         if level not in range(len(reps)) or rep not in reps[level]:
             problems.append(f"shift {key} names no orbit representative of a level")

@@ -440,8 +440,15 @@ class TestLayeredVerifier:
             ({(1, (0, 0), 0): 0}, "shift (1, (0, 0), 0) names no orbit representative"),
             ({(0, (0, 0), 0): 4}, "shift (0, (0, 0), 0) places no core: shift (24, 0) exceeds"),
             ({(0, (1, 1), 0): 0}, "shift (0, (1, 1), 0) names no orbit representative"),
+            ({(0, (0, 0)): 0}, "shift (0, (0, 0)) is not a (level, orbit rep, region index) key"),
+            ({(0, (0, 0), 0, 9): 0}, "shift (0, (0, 0), 0, 9) is not a (level, orbit rep,"),
+            ({(0.0, (0, 0), 0): 0}, "shift (0.0, (0, 0), 0) is not a (level, orbit rep,"),
+            ({(0, (0, 0), 0): "x"}, "shift (0, (0, 0), 0) has factor 'x', not an int"),
+            ({(0, (0, 0), 0): None}, "shift (0, (0, 0), 0) has factor None, not an int"),
+            ({(0, (0, 0), 0): 0.0}, "shift (0, (0, 0), 0) has factor 0.0, not an int"),
         ],
-        ids=["no-region", "no-level", "out-of-range", "not-a-rep"],
+        ids=["no-region", "no-level", "out-of-range", "not-a-rep", "short-key", "long-key",
+             "float-level", "str-factor", "none-factor", "float-factor"],
     )
     def test_bad_shift_is_a_problem_line(self, shifts, line):
         # the 3 x 3 run's one shift is {(0, (0, 0), 0): 0}; its one orbit
