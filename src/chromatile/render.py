@@ -174,6 +174,7 @@ def render_svg(doc: ColoringDocument, slices: dict[int, int] | None = None) -> s
                 dots[h_in_code + y] = None
         out += _pieces(lines)
     # small vertex dots on integer positions, formatted a stride at a time
+    # so that few one-dot strings live at once
     cx, cy = list(xt.values()), list(yt.values())
     codes = iter(dots)
     while chunk := [f'<circle cx="{cx[c // stride]}" cy="{cy[c % stride]}" r="2.5" fill="#222"/>'
