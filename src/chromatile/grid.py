@@ -52,9 +52,6 @@ class Box:
         ranges = [range(b, b + a + 1) for b, a in zip(self.origin, self.sizes)]
         return product(*ranges)
 
-    def contains(self, v: Vertex) -> bool:
-        return all(b <= x <= b + a for x, b, a in zip(v, self.origin, self.sizes))
-
     def core(self) -> "Box":
         """Central 2 x ... x 2 sub-box; requires all sides even and >= 2."""
         return self.shifted_core((0,) * self.n)

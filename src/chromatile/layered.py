@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -250,12 +250,13 @@ def run_layered(
     ColorConflictError.
 
     A region's placed edges depend on its index and shift factor alone,
-    so they are computed once per level and reused for every orbit of
-    it.  They are kept as the region's ``tiling.local_edges`` with level
-    steps and colors, and its ``tiling.region_frame``, which sends a
-    frame position to a chart row-major index.  Orbit rep writes the
-    edge at chart index i to ``orbit(rep)[i]``, so no edge goes through
-    the chart map one by one.  The shift search and the chart/ambient
+    so they are looked up once per level and reused for every orbit of
+    it: the region's ``tiling.local_edges`` blocks, and its
+    ``tiling.region_frame``, which sends a frame position to a chart
+    row-major index.  Orbit rep writes the edge at chart index i to
+    ``orbit(rep)[i]``, so no edge goes through the chart map one by
+    one; the level's tables send a block's axis to its basis step and
+    a byte to its level color.  The shift search and the chart/ambient
     agreement check stay per orbit.
     """
     if len(models) != dec.level_count + 1 or len(tilings) != len(models):
@@ -284,7 +285,8 @@ def run_layered(
                 f"level {level} tiling invalid: " + "; ".join(report.problems)
             )
         ni = model.chart_dim
-        names = {c: level_color_name(c, level, ni) for c in palette(ni)}
+        # a block byte is a palette slot plus 1
+        names = [None] + [level_color_name(c, level, ni) for c in palette(ni)]
         coeffs = dec.a_coeffs[level]
         chart_moduli = model.chart_moduli
         cores = [
@@ -292,12 +294,10 @@ def run_layered(
             if is_all_even(region) else None
             for region in tiling.regions
         ]
-        # (sizes, shift) -> the region's edges as (frame position, step, color)
-        localized: dict[tuple[Vertex, Vector], list] = {}
-        # (region index, shift factor or None) -> (shifted core, frame, local edges)
-        placed: dict[tuple[int, Optional[int]], tuple[list[int], list[int], list]] = {}
+        # (region index, shift factor or None) -> (shifted core, frame, blocks)
+        placed: dict[tuple[int, Optional[int]], tuple[list[int], list[int], tuple]] = {}
 
-        def place(idx: int, a: Optional[int]) -> tuple[list[int], list[int], list]:
+        def place(idx: int, a: Optional[int]) -> tuple[list[int], list[int], tuple]:
             region = tiling.regions[idx]
             t = (0,) * ni
             core: list[int] = []
@@ -308,13 +308,8 @@ def run_layered(
                 except InfeasibleError as exc:
                     raise InfeasibleError(f"level {level}, d = {d}: core {exc}") from exc
                 core = _box_index(region.shifted_core(t).origin, [3] * ni, chart_moduli)
-            local = localized.get((region.sizes, t))
-            if local is None:
-                local = localized[(region.sizes, t)] = [
-                    (i, model.basis[axis - 1], names[color])
-                    for i, axis, color in local_edges(region.sizes, False, t)
-                ]
-            placed[(idx, a)] = core, region_frame(region, chart_moduli), local
+            blocks = local_edges(region.sizes, False, t)
+            placed[(idx, a)] = core, region_frame(region, chart_moduli), blocks
             return placed[(idx, a)]
 
         for rep in model.reps:
@@ -334,14 +329,15 @@ def run_layered(
                             f"{level}, orbit {rep}, region {region.origin}; "
                             f"d = {d} is too small for this torus"
                         )
-                core, frame, local = placed.get((idx, a)) or place(idx, a)
+                core, frame, blocks = placed.get((idx, a)) or place(idx, a)
                 if a is not None:
                     if {points[i] for i in core} != translated:
                         raise VerificationError("chart/ambient shift disagreement")
                     k_sets[level] |= translated
                     shifts[(level, rep, idx)] = a
-                for i, step, name in local:
-                    _store(coloring, (points[frame[i]], step), name)
+                for step, block in zip(model.basis, blocks):
+                    for u, slot in zip(compress(frame, block), compress(block, block)):
+                        _store(coloring, (points[u], step), names[slot])
         busy |= k_sets[level]
 
     return LayeredResult(

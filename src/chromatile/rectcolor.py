@@ -30,21 +30,25 @@ coordinate is the box origin plus an offset that depends only on the
 sizes (and shift), so boxes of one size get the same coloring up to
 translation, which is what makes tiling-based colorings local.
 
-A coloring is a plain dict ``{(base, axis): color}``.  Builders fill the
-dict they are given, and every write goes through ``_store``, which
-raises ColorConflictError when an edge already holds another color, so
-any internal disagreement between construction stages raises instead of
-producing a silently improper coloring.
+A coloring is a plain dict ``{(base, axis): color}``.  Builders write
+into a frame, one ``bytearray`` block per axis over the box padded by one
+vertex, and each path is one run of bytes.  Before a run is written it is
+compared with the bytes already there, and a nonzero byte that differs
+raises ColorConflictError, so any internal disagreement between
+construction stages raises instead of producing a silently improper
+coloring.  The public builders turn the blocks into the dict at the end.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Optional, Sequence
+import math
+from itertools import compress, product, repeat
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError
 from .grid import (
-    Box, Edge, Vertex, _box_frame, _mark_core, _scan_coloring, adjacent_edges, edges_in,
+    Box, Edge, Vertex, _box_frame, _mark_core, _outer_sum, _scan_coloring, _strides,
+    adjacent_edges, edges_in,
 )
 from .lattice import Vector
 
@@ -72,49 +76,104 @@ def _store(colors: dict, edge, color: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# construction internals: every builder writes into the dict it is given,
-# through ``_store``
+# construction internals: every builder writes into the frame it is given,
+# one run of bytes per path
 # ---------------------------------------------------------------------------
 
-def _read_off(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...],
+class _Frame(NamedTuple):
+    """A box padded by one vertex: the vertices lows .. lows + radices - 1
+    in row-major order.  ``blocks[i][u]`` is the palette slot plus 1 of
+    the edge along axis i + 1 based at frame vertex u, and 0 means no edge."""
+
+    lows: tuple[int, ...]
+    radices: tuple[int, ...]
+    strides: list[int]
+    blocks: list[bytearray]
+
+
+def _blank(box: Box) -> _Frame:
+    """The box's frame with no edge written; the edge bases of the box and
+    its adjacent edges run from origin - 1 to origin + sizes."""
+    radices = tuple(a + 2 for a in box.sizes)
+    size = math.prod(radices)
+    return _Frame(tuple(b - 1 for b in box.origin), radices, _strides(radices),
+                  [bytearray(size) for _ in radices])
+
+
+def _as_dict(frame: _Frame) -> dict[Edge, str]:
+    """The frame's edges as a coloring, one C-level pass per axis."""
+    names = [None] + palette(len(frame.radices))
+    ranges = [range(low, low + r) for low, r in zip(frame.lows, frame.radices)]
+    out: dict[Edge, str] = {}
+    for axis, block in enumerate(frame.blocks, start=1):
+        keys = zip(product(*ranges), repeat(axis))
+        out.update(compress(zip(keys, map(names.__getitem__, block)), block))
+    return out
+
+
+def _conflict(frame: _Frame, i: int, start: int, prior: bytes, run: bytes) -> None:
+    """Raise ColorConflictError at the first nonzero byte of ``prior``, the
+    path along axis i + 1 from frame vertex ``start``, that ``run`` contradicts."""
+    names = palette(len(frame.radices))
+    for h, (old, new) in enumerate(zip(prior, run)):
+        if old and old != new:
+            u = start + h * frame.strides[i]
+            base = tuple(low + u // st % r
+                         for low, st, r in zip(frame.lows, frame.strides, frame.radices))
+            raise ColorConflictError(f"edge {(base, i + 1)}: {names[old - 1]} vs {names[new - 1]}")
+
+
+def _read_off(frame: _Frame, origin: Vertex, sizes: tuple[int, ...],
               chain: Sequence[tuple[int, str]]) -> None:
     """Color the box and its adjacent edges by the rule of the module
     docstring; ``chain`` lists (r_j, s_j) for j = 1..m.  Each path along
-    r_j is written as one run: c_{r_j}, free, s_j, free, ..., c_{r_j}.
+    r_j is one run c_{r_j}, free, s_j, free, ..., c_{r_j}, written into
+    the frame as one extended slice.
     """
-    first = P(1)
-    # misses[i][x]: the color a vertex at coordinate x along r_i misses
-    # on the first i axes, or None where it misses free_{i-1}
-    misses: list[dict[int, Optional[str]]] = []
-    for j, (ax, second) in enumerate(chain):
+    code = {color: slot for slot, color in enumerate(palette(len(sizes)), start=1)}
+    first = code[P(1)]
+    offsets = [b - low for b, low in zip(origin, frame.lows)]
+    # misses[k][x] = j << 8 | the code of the color that a vertex at x along
+    # axis k + 1 = r_j misses on r_1..r_j; 0 where it misses free_{j-1}, and
+    # everywhere before r_j is peeled.  So free_{j-1} is the largest entry.
+    misses = [[0] * (a + 1) for a in sizes]
+    for j, (ax, color) in enumerate(chain, start=1):
         i, a = ax - 1, sizes[ax - 1]
-        direction = C(ax)
-        below = [(misses[p], chain[p][0] - 1) for p in reversed(range(j))]
-        cross = [(b,) if k == i else range(b, b + s + 1)
-                 for k, (b, s) in enumerate(zip(origin, sizes))]
-        for start in product(*cross):
-            free = next((m for row, k in below if (m := row[start[k]]) is not None), first)
-            base = list(start)
-            base[i] -= 1
-            _store(out, (tuple(base), ax), direction)
-            for h in range(a):
-                base[i] += 1
-                _store(out, (tuple(base), ax), second if h % 2 else free)
-            base[i] += 1
-            _store(out, (tuple(base), ax), direction)
-        misses.append({origin[i] + x: second if x == 0 else direction if x < a
-                       else second if a % 2 else None for x in range(a + 1)})
+        direction, second = code[C(ax)], code[color]
+        st = frame.strides[i]
+        starts = _outer_sum([
+            [(offsets[i] - 1) * st] if k == i else [(b + x) * stk for x in range(s + 1)]
+            for k, (b, s, stk) in enumerate(zip(offsets, sizes, frame.strides))
+        ])
+        frees = [0]
+        for k, row in enumerate(misses):
+            frees = [max(f, m) for f in frees for m in ((0,) if k == i else row)]
+        block, span, blank = frame.blocks[i], (a + 2) * st, bytes(a + 2)
+        runs: dict[int, bytes] = {}
+        for start, f in zip(starts, frees):
+            run = runs.get(f)
+            if run is None:
+                free = f & 0xFF or first
+                run = runs[f] = bytes(
+                    (direction, *(free, second) * (a // 2), *(free,) * (a % 2), direction))
+            path = slice(start, start + span, st)
+            prior = block[path]
+            if prior != blank and prior != run:
+                _conflict(frame, i, start, prior, run)
+            block[path] = run
+        misses[i] = [j << 8 | (second if x == 0 or x == a else direction)
+                     if x < a or a % 2 else 0 for x in range(a + 1)]
 
 
 def _bc1(
-    out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
+    frame: _Frame, origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
 ) -> None:
     """Boundary-condition coloring with 2n+1 colors: the rule with
     r_1..r_m = ``axes`` and s_j = P(j+1), so r_m is peeled first."""
-    _read_off(out, origin, sizes, [(ax, P(j)) for j, ax in enumerate(axes, start=2)])
+    _read_off(frame, origin, sizes, [(ax, P(j)) for j, ax in enumerate(axes, start=2)])
 
 
-def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
+def _bc2(frame: _Frame, origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
     """Boundary-condition coloring with 2n colors; needs an odd side.
 
     The rule over the other axes in ascending order with s_j = P(j+1),
@@ -125,18 +184,17 @@ def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis:
         raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
     rest = [ax for ax in range(1, len(sizes) + 1) if ax != odd_axis]
     chain = [(ax, P(j)) for j, ax in enumerate(rest, start=2)]
-    _read_off(out, origin, sizes, chain + [(odd_axis, C(odd_axis))])
+    _read_off(frame, origin, sizes, chain + [(odd_axis, C(odd_axis))])
 
 
-def _shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
+def _shifted_core(frame: _Frame, box: Box, t: Vector) -> None:
     """Core construction on the box; assumes validated arguments.
 
-    The 2n slabs and the final 2-cube are written into one dict; the
-    edges where two of them meet are written by both.
+    The 2n slabs and the final 2-cube are written into the one frame;
+    the edges where two of them meet are written by both.
     """
     n = box.n
     k = (box.sizes[0] - 2) // 4
-    out: dict[Edge, str] = {}
     origin = list(box.origin)
     current = list(box.sizes)
     stages = range(1, n + 1) if k else ()  # for d = 2 the core is the whole cube
@@ -149,12 +207,11 @@ def _shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
             origin[j] + (low_extent + 4 if j == i else 0) for j in range(n)
         )
         high_sizes = tuple(high_extent if j == i else a for j, a in enumerate(current))
-        _bc2(out, tuple(origin), low_sizes, stage_ax)
-        _bc2(out, high_origin, high_sizes, stage_ax)
+        _bc2(frame, tuple(origin), low_sizes, stage_ax)
+        _bc2(frame, high_origin, high_sizes, stage_ax)
         origin[i] += low_extent + 1
         current[i] = 2
-    _bc1(out, tuple(origin), tuple(current), tuple(range(1, n + 1)))
-    return out
+    _bc1(frame, tuple(origin), tuple(current), tuple(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +221,9 @@ def _shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
 def color_bc1(box: Box) -> dict[Edge, str]:
     """Proper (2n+1)-coloring of the box and its adjacent edges with the
     boundary condition."""
-    out: dict[Edge, str] = {}
-    _bc1(out, box.origin, box.sizes, tuple(range(1, box.n + 1)))
-    return out
+    frame = _blank(box)
+    _bc1(frame, box.origin, box.sizes, tuple(range(1, box.n + 1)))
+    return _as_dict(frame)
 
 
 def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
@@ -176,9 +233,9 @@ def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
     """
     if not 1 <= odd_axis <= box.n:
         raise InvalidInputError(f"odd_axis {odd_axis} out of range")
-    out: dict[Edge, str] = {}
-    _bc2(out, box.origin, box.sizes, odd_axis)
-    return out
+    frame = _blank(box)
+    _bc2(frame, box.origin, box.sizes, odd_axis)
+    return _as_dict(frame)
 
 
 def _require_cube_4k2(box: Box) -> int:
@@ -226,7 +283,9 @@ def color_shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
     """
     t = tuple(t)
     check_shift(box, t)
-    return _shifted_core(box, t)
+    frame = _blank(box)
+    _shifted_core(frame, box, t)
+    return _as_dict(frame)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
@@ -28,7 +29,6 @@ from .grid import (
     Torus,
     Vertex,
     _box_index,
-    _frame_index,
     _mark_core,
     _scan_coloring,
     _scan_problems,
@@ -36,13 +36,7 @@ from .grid import (
     unit_vector,
 )
 from .lattice import Vector
-from .rectcolor import (
-    _store,
-    color_bc1,
-    color_bc2,
-    color_shifted_core,
-    palette,
-)
+from .rectcolor import _bc1, _bc2, _blank, _shifted_core, _store, check_shift, palette
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +185,25 @@ def first_odd_axis(region: Box) -> int:
 
 
 @lru_cache(maxsize=None)
-def local_edges(
-    sizes: tuple[int, ...], plain: bool, shift: Vector
-) -> list[tuple[int, int, str]]:
-    """A region's edges as (frame position, axis, color), shared by every
-    region of these sizes and core shift, which makes colorings local.
+def local_edges(sizes: tuple[int, ...], plain: bool, shift: Vector) -> tuple[bytes, ...]:
+    """A region's coloring as one block per axis, shared by every region of
+    these sizes and core shift, which makes colorings local.
 
-    The frame is the region padded by one vertex below, since the edge
-    bases lie in [-1, a_j] along every axis; ``region_frame`` places it.
+    A block runs over the region's frame, the region padded by one vertex
+    below and above, since the edge bases lie in [-1, a_j] along every
+    axis, in row-major order; ``region_frame`` places it.  A byte is the
+    edge's slot in ``palette(n)`` plus 1, and 0 means no edge.
     """
     box = Box((0,) * len(sizes), sizes)
+    frame = _blank(box)
     if plain:
-        coloring = color_bc1(box)
+        _bc1(frame, box.origin, sizes, tuple(range(1, box.n + 1)))
     elif is_all_even(box):
-        coloring = color_shifted_core(box, shift)
+        check_shift(box, shift)
+        _shifted_core(frame, box, shift)
     else:
-        coloring = color_bc2(box, first_odd_axis(box))
-    position = _frame_index([-1] * box.n, [a + 2 for a in sizes])
-    return [(position[base], axis, color) for (base, axis), color in coloring.items()]
+        _bc2(frame, box.origin, sizes, first_odd_axis(box))
+    return tuple(map(bytes, frame.blocks))
 
 
 def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
@@ -235,11 +230,14 @@ def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
         raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
     torus = tiling.torus
     points = list(torus.vertices())
+    names = [None] + palette(torus.n)
     out: dict[Edge, str] = {}
     for region in tiling.regions:
         frame = region_frame(region, torus.moduli)
-        for i, axis, color in local_edges(region.sizes, plain, (0,) * region.n):
-            _store(out, (points[frame[i]], axis), color)
+        blocks = local_edges(region.sizes, plain, (0,) * region.n)
+        for axis, block in enumerate(blocks, start=1):
+            for u, slot in zip(compress(frame, block), compress(block, block)):
+                _store(out, (points[u], axis), names[slot])
     expected = torus.n * torus.vertex_count()
     if len(out) != expected:
         raise VerificationError(

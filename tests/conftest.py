@@ -3,8 +3,8 @@ and a patch that makes two regions disagree on a crossing edge."""
 
 import pytest
 
-from chromatile.grid import Box, _frame_index
-from chromatile.rectcolor import C, P
+from chromatile.grid import Box, _strides
+from chromatile.rectcolor import C, P, palette
 
 
 @pytest.fixture
@@ -47,12 +47,15 @@ def force_conflict(monkeypatch):
 
         def recolored(sizes, plain, shift):
             n = len(sizes)
-            frame = _frame_index([-1] * n, [a + 2 for a in sizes])
-            target = (frame[(-1,) + (0,) * (n - 1)], 1)
-            return [
-                (i, axis, P(1) if (i, axis) == target else color)
-                for i, axis, color in original(sizes, plain, shift)
-            ]
+            first, *rest = original(sizes, plain, shift)
+            # the frame starts at -1 on every axis, so the base (-1, 0, ..., 0)
+            # sits at offset (0, 1, ..., 1); a byte is a palette slot plus 1
+            target = sum(_strides([a + 2 for a in sizes])[1:])
+            colors = palette(n)
+            assert colors[first[target] - 1] == C(1)
+            first = bytearray(first)
+            first[target] = colors.index(P(1)) + 1
+            return (bytes(first), *rest)
 
         monkeypatch.setattr(module, "local_edges", recolored)
 

@@ -5,6 +5,7 @@ Each one reads a definition literally and makes no claim to speed:
 * ``endpoints`` and ``verify_proper``: the two vertices of a (base,
   axis) grid edge, and properness of any set of such keys, the generic
   form of what the one-pass verifiers check on their own edge sets;
+* ``contains``: whether a box holds a vertex, bound by bound;
 * ``allowed_core_edges``: the torus edges of the cores of a tiling's
   all-even regions as a set of keys, the reference for the core kinds
   that ``chromatile.tiling.verify_tiling_coloring`` marks in its frame;
@@ -19,6 +20,13 @@ Each one reads a definition literally and makes no claim to speed:
   every height and search each layer vertex's free color among the
   candidates, the reference for the closed-form rule of
   ``chromatile.rectcolor._read_off``;
+* ``read_off`` and ``read_off_bc1``, ``read_off_bc2`` and
+  ``read_off_shifted_core``: the closed-form rule written edge by edge
+  into a dict through ``_store``, the reference for the byte runs that
+  ``chromatile.rectcolor._read_off`` writes path by path;
+* ``placed``: a region's ``local_edges`` blocks read one frame position
+  at a time into torus edge keys, the scalar form of the placement in
+  ``chromatile.tiling.color_tiling``;
 * ``SftPattern``, ``matching_patterns`` and ``respects``: forbidden
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
@@ -71,7 +79,7 @@ from chromatile.document import (
     fmt_vec,
 )
 from chromatile.errors import InfeasibleError, InvalidInputError, VerificationError
-from chromatile.grid import Edge, SchreierGraphView, Torus, Vertex, edges_in
+from chromatile.grid import Box, Edge, SchreierGraphView, Torus, Vertex, edges_in
 from chromatile.lattice import (
     GeneratorSet,
     SubgroupBasis,
@@ -83,9 +91,9 @@ from chromatile.lattice import (
 )
 from chromatile.layered import CosetModel
 from chromatile.lowerbound import _check_moduli
-from chromatile.rectcolor import C, P, _store
+from chromatile.rectcolor import C, P, _store, palette
 from chromatile.render import _MARGIN, _STUB, _UNIT, _color_map
-from chromatile.tiling import Tiling, is_all_even
+from chromatile.tiling import Tiling, is_all_even, region_frame
 
 
 def endpoints(edge: Edge) -> tuple[Vertex, Vertex]:
@@ -104,6 +112,11 @@ def verify_proper(coloring: dict[Edge, str]) -> bool:
                 return False
             bucket.add(color)
     return True
+
+
+def contains(box: Box, v: Vertex) -> bool:
+    """Whether v lies in the box: b_i <= v_i <= b_i + a_i on every axis."""
+    return all(b <= x <= b + a for x, b, a in zip(v, box.origin, box.sizes))
 
 
 def allowed_core_edges(tiling: Tiling) -> set[Edge]:
@@ -287,6 +300,91 @@ def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis:
         raise InfeasibleError(f"axis {odd_axis} of {sizes} is not odd")
     rest = tuple(ax for ax in range(1, len(sizes) + 1) if ax != odd_axis)
     _peel(out, origin, sizes, rest, odd_axis, C(odd_axis))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form rule of the rectangle builders, one edge at a time
+# ---------------------------------------------------------------------------
+
+def read_off(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...],
+             chain: Sequence[tuple[int, str]]) -> None:
+    """Color the box and its adjacent edges by the rule of the
+    ``chromatile.rectcolor`` docstring; ``chain`` lists (r_j, s_j) for
+    j = 1..m.  Each path along r_j is written edge by edge: c_{r_j},
+    free, s_j, free, ..., c_{r_j}.
+    """
+    first = P(1)
+    # misses[i][x]: the color a vertex at coordinate x along r_i misses
+    # on the first i axes, or None where it misses free_{i-1}
+    misses: list[dict[int, Optional[str]]] = []
+    for j, (ax, second) in enumerate(chain):
+        i, a = ax - 1, sizes[ax - 1]
+        direction = C(ax)
+        below = [(misses[p], chain[p][0] - 1) for p in reversed(range(j))]
+        cross = [(b,) if k == i else range(b, b + s + 1)
+                 for k, (b, s) in enumerate(zip(origin, sizes))]
+        for start in product(*cross):
+            free = next((m for row, k in below if (m := row[start[k]]) is not None), first)
+            base = list(start)
+            base[i] -= 1
+            _store(out, (tuple(base), ax), direction)
+            for h in range(a):
+                base[i] += 1
+                _store(out, (tuple(base), ax), second if h % 2 else free)
+            base[i] += 1
+            _store(out, (tuple(base), ax), direction)
+        misses.append({origin[i] + x: second if x == 0 else direction if x < a
+                       else second if a % 2 else None for x in range(a + 1)})
+
+
+def read_off_bc1(box: Box, axes: Optional[Sequence[int]] = None) -> dict[Edge, str]:
+    """The rule with r_1..r_m = ``axes`` (ascending by default) and s_j = P(j+1)."""
+    out: dict[Edge, str] = {}
+    axes = range(1, box.n + 1) if axes is None else axes
+    read_off(out, box.origin, box.sizes, [(ax, P(j)) for j, ax in enumerate(axes, start=2)])
+    return out
+
+
+def read_off_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
+    """The rule over the other axes in ascending order with s_j = P(j+1),
+    then the odd axis with s_m = c_odd."""
+    out: dict[Edge, str] = {}
+    rest = [ax for ax in range(1, box.n + 1) if ax != odd_axis]
+    chain = [(ax, P(j)) for j, ax in enumerate(rest, start=2)]
+    read_off(out, box.origin, box.sizes, chain + [(odd_axis, C(odd_axis))])
+    return out
+
+
+def read_off_shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
+    """The core construction stage by stage: per axis two odd slabs by
+    ``read_off_bc2`` around a middle slab of extent 2, then the 2-cube
+    left at the t-shifted core by ``read_off_bc1``, all into one dict."""
+    n, k = box.n, (box.sizes[0] - 2) // 4
+    out: dict[Edge, str] = {}
+    origin, current = list(box.origin), list(box.sizes)
+    for i in range(n) if k else ():
+        low, high = 2 * k - 1 + t[i], 2 * k - 1 - t[i]
+        for b, extent in ((origin[i], low), (origin[i] + low + 4, high)):
+            slab = Box(tuple(b if j == i else x for j, x in enumerate(origin)),
+                       tuple(extent if j == i else a for j, a in enumerate(current)))
+            for edge, color in read_off_bc2(slab, i + 1).items():
+                _store(out, edge, color)
+        origin[i] += low + 1
+        current[i] = 2
+    for edge, color in read_off_bc1(Box(tuple(origin), tuple(current))).items():
+        _store(out, edge, color)
+    return out
+
+
+def placed(blocks: Sequence[bytes], region: Box, torus: Torus) -> dict[Edge, str]:
+    """A region's ``local_edges`` blocks as a torus coloring: every nonzero
+    byte, frame position by frame position, sent through ``region_frame``."""
+    points = list(torus.vertices())
+    names = palette(region.n)
+    frame = region_frame(region, torus.moduli)
+    return {(points[frame[u]], axis): names[slot - 1]
+            for axis, block in enumerate(blocks, start=1)
+            for u, slot in enumerate(block) if slot}
 
 
 @dataclass(frozen=True)

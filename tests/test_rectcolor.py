@@ -1,5 +1,6 @@
 """Rectangle colorings against the literal condition verifiers."""
 
+import re
 from itertools import product
 
 import pytest
@@ -11,12 +12,14 @@ from chromatile.errors import (
     InfeasibleError,
     InvalidInputError,
 )
-from chromatile.grid import Box, adjacent_edges, edges_in
+from chromatile.grid import Box, Torus, adjacent_edges, edges_in
 from chromatile.rectcolor import (
     C,
     P,
+    _as_dict,
     _bc1,
     _bc2,
+    _blank,
     _store,
     color_bc1,
     color_bc2,
@@ -27,7 +30,16 @@ from chromatile.rectcolor import (
     verify_shifted_core,
 )
 import reference
-from reference import admissible_shifts, endpoints, verify_proper
+from chromatile.tiling import local_edges
+from reference import (
+    admissible_shifts,
+    endpoints,
+    placed,
+    read_off_bc1,
+    read_off_bc2,
+    read_off_shifted_core,
+    verify_proper,
+)
 
 
 def boxes(n, max_side):
@@ -35,11 +47,16 @@ def boxes(n, max_side):
         yield Box((0,) * n, sizes)
 
 
+def built(write, origin, sizes, arg):
+    """The coloring that an internal builder writes into a blank frame."""
+    frame = _blank(Box(origin, sizes))
+    write(frame, origin, sizes, arg)
+    return _as_dict(frame)
+
+
 def bc1_in_order(box, order):
     """color_bc1 peeling the axes in the given order, last axis first."""
-    out = {}
-    _bc1(out, box.origin, box.sizes, order)
-    return out
+    return built(_bc1, box.origin, box.sizes, order)
 
 
 class TestStore:
@@ -51,6 +68,43 @@ class TestStore:
         with pytest.raises(ColorConflictError, match=r"edge \(\(0,\), 1\): 1 vs 2"):
             _store(c, e, P(2))
         assert c == {e: P(1)}
+
+
+class TestBlockWrites:
+    """A run that contradicts a nonzero byte already in the frame raises
+    before it is written."""
+
+    def test_disagreeing_path_raises(self):
+        # bc1 writes c1 1 2 1 c1 along the side-3 path, bc2 c1 1 c1 1 c1
+        box = Box((4,), (3,))
+        frame = _blank(box)
+        _bc1(frame, box.origin, box.sizes, (1,))
+        with pytest.raises(ColorConflictError, match=r"^edge \(\(5,\), 1\): 2 vs c1$"):
+            _bc2(frame, box.origin, box.sizes, 1)
+        assert _as_dict(frame) == color_bc1(box)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3, 2), (4, 1, 3)])
+    def test_message_names_the_edge_and_both_colors(self, sizes):
+        # the two axis orders of bc1 disagree somewhere on these boxes
+        n = len(sizes)
+        box = Box((1, -2, 5)[:n], sizes)
+        order = tuple(range(n, 0, -1))
+        frame = _blank(box)
+        _bc1(frame, box.origin, box.sizes, tuple(range(1, n + 1)))
+        with pytest.raises(ColorConflictError) as err:
+            _bc1(frame, box.origin, box.sizes, order)
+        match = re.fullmatch(r"edge (\(\(.*\), \d\)): (\S+) vs (\S+)", str(err.value))
+        assert match
+        edge, prior, color = eval(match[1]), match[2], match[3]
+        assert (prior, color) == (read_off_bc1(box)[edge], read_off_bc1(box, order)[edge])
+        assert prior != color
+
+    def test_agreeing_overlap_is_written(self):
+        box = Box((0, 0), (3, 2))
+        frame = _blank(box)
+        _bc1(frame, box.origin, box.sizes, (1, 2))
+        _bc1(frame, box.origin, box.sizes, (1, 2))
+        assert _as_dict(frame) == color_bc1(box)
 
 
 class TestBuiltInPlace:
@@ -191,16 +245,71 @@ class TestAgainstPeeling:
     @given(build_cases())
     def test_equals_peeling_reference(self, case):
         origin, sizes, order = case
-        ours, peeled = {}, {}
-        _bc1(ours, origin, sizes, order)
+        peeled = {}
         reference._bc1(peeled, origin, sizes, order)
-        assert ours == peeled
+        assert built(_bc1, origin, sizes, order) == peeled
         for ax in range(1, len(sizes) + 1):
             if sizes[ax - 1] % 2:
-                ours, peeled = {}, {}
-                _bc2(ours, origin, sizes, ax)
+                peeled = {}
                 reference._bc2(peeled, origin, sizes, ax)
-                assert ours == peeled
+                assert built(_bc2, origin, sizes, ax) == peeled
+
+
+@st.composite
+def random_boxes(draw):
+    n = draw(st.integers(1, 4))
+    sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)))
+    origin = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    return Box(origin, sizes)
+
+
+@st.composite
+def random_cubes(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 6, 10]))
+    origin = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    return Box(origin, (d,) * n), draw(st.sampled_from(list(admissible_shifts(d, n))))
+
+
+def on_torus(coloring, torus):
+    return {(torus.reduce(base), axis): color for (base, axis), color in coloring.items()}
+
+
+def roomy_torus(box):
+    """A torus on which the box's padded frame does not wrap."""
+    return Torus(tuple(a + 3 for a in box.sizes))
+
+
+class TestAgainstReadOff:
+    """Every public builder, and the cached blocks placed on a torus, give
+    what the rule gives written edge by edge into a dict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_boxes())
+    def test_boundary_builders(self, box):
+        expected = read_off_bc1(box)
+        assert color_bc1(box) == expected
+        torus = roomy_torus(box)
+        blocks = local_edges(box.sizes, True, (0,) * box.n)
+        assert placed(blocks, box, torus) == on_torus(expected, torus)
+        odd = [ax for ax, a in enumerate(box.sizes, start=1) if a % 2]
+        for ax in odd:
+            assert color_bc2(box, ax) == read_off_bc2(box, ax)
+        if odd:
+            blocks = local_edges(box.sizes, False, (0,) * box.n)
+            assert placed(blocks, box, torus) == on_torus(read_off_bc2(box, odd[0]), torus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_cubes())
+    def test_core_builders(self, case):
+        box, t = case
+        expected = read_off_shifted_core(box, t)
+        assert color_shifted_core(box, t) == expected
+        if not any(t):
+            assert color_core(box) == expected
+        torus = roomy_torus(box)
+        blocks = local_edges(box.sizes, False, t)
+        assert placed(blocks, box, torus) == on_torus(expected, torus)
 
 
 class TestCore:

@@ -114,7 +114,7 @@ def test_benchmark_spans_resolve():
     """The benchmark's tracer wraps functions at the names their callers
     look up, and a name it cannot find reads 0 without failing the run.
 
-    The four names listed here no longer exist; any other name that stops
+    The seven names listed here no longer exist; any other name that stops
     resolving, say because a function moved, fails here instead.
     """
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -130,5 +130,8 @@ def test_benchmark_spans_resolve():
         "chromatile.cli.verify_proper",
         "chromatile.layered.color_bc2",
         "chromatile.layered.color_shifted_core",
+        "chromatile.tiling.color_bc1",
+        "chromatile.tiling.color_bc2",
         "chromatile.tiling.color_core",
+        "chromatile.tiling.color_shifted_core",
     }

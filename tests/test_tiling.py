@@ -20,12 +20,11 @@ from chromatile.tiling import (
     first_odd_axis,
     is_all_even,
     local_edges,
-    region_frame,
     segment_lengths,
     validate_tiling,
     verify_tiling_coloring,
 )
-from reference import allowed_core_edges
+from reference import allowed_core_edges, placed
 
 
 class TestSegments:
@@ -187,17 +186,15 @@ class TestColorTiling:
         local = local_edges(sizes, mode == "plain", t)
         assert local_edges(sizes, mode == "plain", t) is local
         torus = Torus((23, 29))
-        points = list(torus.vertices())
         for origin in [(7, 3), (-4, 11), (20, 0)]:
             region = Box(origin, sizes)
-            frame = region_frame(region, torus.moduli)
             if mode == "plain":
                 built = color_bc1(region)
             elif is_all_even(region):
                 built = color_shifted_core(region, t)
             else:
                 built = color_bc2(region, first_odd_axis(region))
-            assert {(points[frame[i]], axis): color for i, axis, color in local} == {
+            assert placed(local, region, torus) == {
                 torus_edge(edge, torus): color for edge, color in built.items()
             }
 
