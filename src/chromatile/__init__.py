@@ -53,6 +53,7 @@ from .lowerbound import (
 from .rectcolor import (
     C,
     P,
+    RectColoring,
     color_bc1,
     color_bc2,
     color_core,

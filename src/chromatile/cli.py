@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 verified success, 1 invalid input, 2 verification
-failure, 3 infeasible parameters.  Every coloring command verifies its
+failure, 3 infeasible parameters, those whose data does not fit in
+memory included.  Every coloring command verifies its
 output before writing anything; the tool never emits a coloring it
 cannot certify.  All commands are deterministic given their flags.
 """
@@ -113,10 +114,7 @@ def cmd_color_rect(args: argparse.Namespace) -> int:
         raise VerificationError("produced coloring failed verification")
     doc = document_for_rect(box.origin, box.sizes, args.mode, coloring, t)
     _write_out(args.out, serialize_coloring(doc))
-    print(
-        f"ok: {len(coloring)} edges, {len(set(coloring.values()))} colors",
-        file=sys.stderr,
-    )
+    print(f"ok: {len(coloring)} edges, {len(coloring.colors())} colors", file=sys.stderr)
     return EXIT_OK
 
 
@@ -325,6 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_UNVERIFIED
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError:
+        print("infeasible: not enough memory for these parameters", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ChromatileError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,14 +9,14 @@ that every edge lies on the frame, appears once and has a legend color.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Optional, Sequence
+from itertools import product, repeat
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidInputError
 from .grid import Edge, Vertex
 from .lattice import Vector, fmt_vec, parse_vec
 from .layered import LayeredResult
-from .rectcolor import palette
+from .rectcolor import RectColoring, palette
 
 COLORING_FORMAT = "chromatile/coloring/v1"
 LAYERED_FORMAT = "chromatile/layered/v1"
@@ -30,7 +30,7 @@ class ColoringDocument:
     n: int
     meta: dict[str, str]  # origin/sizes or moduli, mode, d, t, seed, offsets
     legend: list[str]
-    coloring: dict[Edge, str]  # (base, axis) -> color name
+    coloring: Mapping[Edge, str]  # (base, axis) -> color name
 
     def __post_init__(self) -> None:
         if self.kind not in ("rect", "torus"):
@@ -41,7 +41,7 @@ def document_for_rect(
     box_origin: Vector,
     sizes: Vector,
     mode: str,
-    coloring: dict[Edge, str],
+    coloring: Mapping[Edge, str],
     t: Optional[Vector] = None,
 ) -> ColoringDocument:
     n = len(sizes)
@@ -102,27 +102,37 @@ def _frame(kind: str, n: int, meta: dict[str, str]) -> tuple[list[range], str]:
     return [range(b - 1, b + a + 1) for b, a in zip(origin, sizes)], name
 
 
-def _frame_records(coloring: dict, legend: list[str], frame: tuple[list[range], str],
+def _frame_records(coloring: Mapping, legend: list[str], frame: tuple[list[range], str],
                    classes: Sequence, fmt_class: Callable[[object], str]) -> list[str]:
     """One "base ; edge class ; color" line per edge, sorted by (base, class).
 
-    The edge class is an axis or a step.  Walks the frame's (base, class)
-    slots in row-major order, which is sorted order, one lookup each: the
-    cost grows with the frame, not with the edge count, and every CLI
-    document covers its whole frame.  A color outside the legend, or an
-    edge off the frame or of another class, whose record no reader
-    accepts, raises InvalidInputError.
+    The edge class is an axis or a step.  One loop walks the frame's bases
+    in row-major order, which is sorted order, beside one column per
+    class: the record's tail " ; class ; color" at every base, or None
+    where no edge is based.  A rect coloring built on the frame gives its
+    columns from its blocks, any other mapping by one lookup per (base,
+    class) slot, so the cost grows with the frame, not with the edge count,
+    and every CLI document covers its whole frame.  A color outside the
+    legend, or an edge off the frame or of another class, whose record no
+    reader accepts, raises InvalidInputError.
     """
-    if not set(legend).issuperset(coloring.values()):
-        color = next(c for c in coloring.values() if c not in legend)
-        raise InvalidInputError(f"color {color} missing from the legend")
     ranges, name = frame
-    get = coloring.get
-    tails = [(cls, f" ; {fmt_class(cls)} ; ") for cls in classes]
+    tails = [{color: f" ; {fmt_class(cls)} ; {color}" for color in legend} for cls in classes]
+    if isinstance(coloring, RectColoring) and coloring.ranges == ranges:
+        # a byte is a palette slot plus 1, and 0 means no edge
+        columns = [map([None, *map(tail.get, palette(len(ranges)))].__getitem__, block)
+                   for tail, block in zip(tails, coloring.blocks)]
+    else:
+        get = coloring.get
+        columns = [map(tail.get, map(get, zip(product(*ranges), repeat(cls))))
+                   for cls, tail in zip(classes, tails)]
     texts = map(",".join, product(*[[str(x) for x in r] for r in ranges]))
-    lines = [text + tail + color for base, text in zip(product(*ranges), texts)
-             for cls, tail in tails if (color := get((base, cls))) is not None]
+    lines = [text + tail for text, row in zip(texts, zip(*columns))
+             for tail in row if tail is not None]
     if len(lines) != len(coloring):
+        for color in coloring.values():
+            if color not in legend:
+                raise InvalidInputError(f"color {color} missing from the legend")
         key = next(k for k in coloring if k[1] not in classes or len(k[0]) != len(ranges)
                    or not all(map(range.__contains__, ranges, k[0])))
         raise InvalidInputError(f"edge {key} lies off {name} or has a class it lacks")

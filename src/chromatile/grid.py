@@ -180,15 +180,15 @@ class SchreierGraphView:
 # ---------------------------------------------------------------------------
 # one-pass certification kernel
 #
-# The rectangle, torus and layered verifiers all check a coloring with
+# The torus and layered verifiers check a coloring with
 # ``_scan_coloring``: one pass over its items that turns both endpoints
 # of every key into a mixed-radix vertex index and marks (vertex, color
 # slot) in a bytearray, so a slot marked twice is a vertex that sees one
 # color twice.  A verifier describes its edge set by a *frame*, the
 # row-major index of every vertex of a box, and one *edge class* per
 # direction: a key (base, cls) names an edge when base is a frame vertex
-# and ``classes[cls]`` gives it a second endpoint.  The boundary, core
-# and level-palette conditions are data in the frame too: each class
+# and ``classes[cls]`` gives it a second endpoint.  The core and
+# level-palette conditions are data in the frame too: each class
 # holds a few rule rows and a kind byte per frame vertex, which the
 # verifier writes before the pass.
 # ---------------------------------------------------------------------------
@@ -247,35 +247,6 @@ def _box_index(
         [(low + x) % q * st for x in range(r)]
         for low, r, q, st in zip(lows, radices, moduli, _strides(moduli))
     ])
-
-
-def _box_frame(
-    box: Box, rules: Sequence[tuple[bytes, ...]]
-) -> tuple[dict[Vertex, int], dict[int, _EdgeClass]]:
-    """Frame and edge classes (keyed by axis) of the edges in a box and
-    adjacent to it; class i + 1 takes the rule rows ``rules[i]``.
-
-    The frame is the box padded by one vertex on every side, so the box
-    spans frame offsets 1 .. a_i + 1.  Along its own axis an edge's base
-    runs from offset 0 to a_i + 1; along every other axis it stays inside.
-    The adjacent edges, at offsets 0 and a_i + 1, are kind 1, the rest 0.
-    """
-    radices = [a + 3 for a in box.sizes]
-    index = _frame_index([b - 1 for b in box.origin], radices)
-    absent = -len(index)  # keeps every sum it enters negative
-    strides = _strides(radices)
-    classes = {}
-    for i in range(box.n):
-        columns = [
-            [(x + 1) * st if x <= a + 1 else absent for x in range(a + 3)]
-            if j == i
-            else [x * st if 1 <= x <= a + 1 else absent for x in range(a + 3)]
-            for j, (a, st) in enumerate(zip(box.sizes, strides))
-        ]
-        ends = [[int(j == i and x in (0, a + 1)) for x in range(a + 3)]
-                for j, a in enumerate(box.sizes)]
-        classes[i + 1] = (_outer_sum(columns), rules[i], bytearray(_outer_sum(ends)))
-    return index, classes
 
 
 def _torus_frame(

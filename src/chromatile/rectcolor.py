@@ -30,27 +30,29 @@ coordinate is the box origin plus an offset that depends only on the
 sizes (and shift), so boxes of one size get the same coloring up to
 translation, which is what makes tiling-based colorings local.
 
-A coloring is a plain dict ``{(base, axis): color}``.  Builders write
-into a frame, one ``bytearray`` block per axis over the box padded by one
-vertex, and each path is one run of bytes.  Before a run is written it is
-compared with the bytes already there, and a nonzero byte that differs
-raises ColorConflictError, so any internal disagreement between
-construction stages raises instead of producing a silently improper
-coloring.  The public builders turn the blocks into the dict at the end.
+A coloring is a ``RectColoring``: one ``bytearray`` block per axis over
+the box padded by one vertex, its frame, read as the mapping
+``{(base, axis): color}``.  Builders write into the frame, and each path
+is one run of bytes.  Before a run is written it is compared with the
+bytes already there, and a nonzero byte that differs raises
+ColorConflictError, so any internal disagreement between construction
+stages raises instead of producing a silently improper coloring.  The
+verifiers certify the blocks with whole-block ``bytes`` operations; a
+plain dict given to them is first written into a frame.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, product, repeat
-from typing import NamedTuple, Optional, Sequence
+import operator
+import sys
+from collections.abc import Mapping
+from itertools import combinations, compress, product, repeat
+from typing import Iterator, Optional, Sequence
 
 from .errors import ColorConflictError, InfeasibleError, InvalidInputError
-from .grid import (
-    Box, Edge, Vertex, _box_frame, _mark_core, _outer_sum, _scan_coloring, _strides,
-    adjacent_edges, edges_in,
-)
-from .lattice import Vector
+from .grid import Box, Edge, Vertex, _outer_sum, _strides
+from .lattice import Vector, fmt_vec
 
 
 def C(i: int) -> str:
@@ -76,54 +78,105 @@ def _store(colors: dict, edge, color: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# construction internals: every builder writes into the frame it is given,
-# one run of bytes per path
+# the frame, and the construction internals: every builder writes into the
+# frame it is given, one run of bytes per path
 # ---------------------------------------------------------------------------
 
-class _Frame(NamedTuple):
-    """A box padded by one vertex: the vertices lows .. lows + radices - 1
-    in row-major order.  ``blocks[i][u]`` is the palette slot plus 1 of
-    the edge along axis i + 1 based at frame vertex u, and 0 means no edge."""
+class RectColoring(Mapping):
+    """A box's coloring held as its frame, the box padded by one vertex
+    below: the vertices ``lows`` .. ``lows + radices - 1`` in row-major
+    order, since the edge bases of the box and its adjacent edges run from
+    origin - 1 to origin + sizes.  ``blocks[i][u]`` is the palette slot
+    plus 1 of the edge along axis i + 1 based at frame vertex u, and 0
+    means no edge.
 
-    lows: tuple[int, ...]
-    radices: tuple[int, ...]
-    strides: list[int]
-    blocks: list[bytearray]
+    Read as the mapping ``{(base, axis): color}``, axis by axis and each
+    axis in row-major order, and equal to any mapping with the same items.
+    The builders write the blocks; the mapping itself has no writes.
+    """
+
+    __slots__ = ("lows", "radices", "strides", "ranges", "blocks", "_names")
+
+    def __init__(self, lows: Sequence[int], radices: Sequence[int],
+                 blocks: list[bytearray]) -> None:
+        self.lows, self.radices, self.blocks = tuple(lows), tuple(radices), blocks
+        self.strides = _strides(self.radices)
+        self.ranges = [range(low, low + r) for low, r in zip(self.lows, self.radices)]
+        self._names = [None] + palette(len(self.radices))
+
+    def base(self, u: int) -> Vertex:
+        """The vertex at row-major frame position u."""
+        return tuple(low + u // st % r for low, st, r in zip(self.lows, self.strides, self.radices))
+
+    def _at(self, key) -> Optional[tuple[bytearray, int]]:
+        """The block and position of an edge key on the frame, or None off it."""
+        try:
+            base, axis = key
+            if len(base) != len(self.radices) or not 1 <= axis <= len(self.blocks):
+                return None
+            u = 0
+            for x, low, r, st in zip(base, self.lows, self.radices, self.strides):
+                if not 0 <= x - low < r:
+                    return None
+                u += (x - low) * st
+            return self.blocks[operator.index(axis) - 1], operator.index(u)
+        except (TypeError, ValueError):
+            return None
+
+    def __getitem__(self, key) -> str:
+        at = self._at(key)
+        byte = at[0][at[1]] if at else 0
+        if not byte:
+            raise KeyError(key)
+        return self._names[byte]
+
+    def __len__(self) -> int:
+        return sum(len(block) - block.count(0) for block in self.blocks)
+
+    def __iter__(self) -> Iterator[Edge]:
+        for axis, block in enumerate(self.blocks, start=1):
+            yield from compress(zip(product(*self.ranges), repeat(axis)), block)
+
+    def items(self) -> Iterator[tuple[Edge, str]]:
+        colors = self._names.__getitem__
+        for axis, block in enumerate(self.blocks, start=1):
+            yield from compress(zip(zip(product(*self.ranges), repeat(axis)), map(colors, block)),
+                                block)
+
+    def colors(self) -> list[str]:
+        """The colors in use, in palette order."""
+        return [name for byte, name in enumerate(self._names)
+                if byte and any(byte in block for block in self.blocks)]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RectColoring) and other.ranges == self.ranges:
+            return other.blocks == self.blocks
+        return super().__eq__(other)
 
 
-def _blank(box: Box) -> _Frame:
-    """The box's frame with no edge written; the edge bases of the box and
-    its adjacent edges run from origin - 1 to origin + sizes."""
-    radices = tuple(a + 2 for a in box.sizes)
+def _blank(box: Box) -> RectColoring:
+    """The box's frame with no edge written."""
+    radices = [a + 2 for a in box.sizes]
     size = math.prod(radices)
-    return _Frame(tuple(b - 1 for b in box.origin), radices, _strides(radices),
-                  [bytearray(size) for _ in radices])
+    if size * box.n > sys.maxsize:
+        raise InfeasibleError(
+            f"a box of sizes {fmt_vec(box.sizes)} needs {size * box.n} bytes, "
+            f"more than this platform can address")
+    return RectColoring([b - 1 for b in box.origin], radices,
+                        [bytearray(size) for _ in radices])
 
 
-def _as_dict(frame: _Frame) -> dict[Edge, str]:
-    """The frame's edges as a coloring, one C-level pass per axis."""
-    names = [None] + palette(len(frame.radices))
-    ranges = [range(low, low + r) for low, r in zip(frame.lows, frame.radices)]
-    out: dict[Edge, str] = {}
-    for axis, block in enumerate(frame.blocks, start=1):
-        keys = zip(product(*ranges), repeat(axis))
-        out.update(compress(zip(keys, map(names.__getitem__, block)), block))
-    return out
-
-
-def _conflict(frame: _Frame, i: int, start: int, prior: bytes, run: bytes) -> None:
+def _conflict(frame: RectColoring, i: int, start: int, prior: bytes, run: bytes) -> None:
     """Raise ColorConflictError at the first nonzero byte of ``prior``, the
     path along axis i + 1 from frame vertex ``start``, that ``run`` contradicts."""
-    names = palette(len(frame.radices))
+    names = frame._names
     for h, (old, new) in enumerate(zip(prior, run)):
         if old and old != new:
-            u = start + h * frame.strides[i]
-            base = tuple(low + u // st % r
-                         for low, st, r in zip(frame.lows, frame.strides, frame.radices))
-            raise ColorConflictError(f"edge {(base, i + 1)}: {names[old - 1]} vs {names[new - 1]}")
+            base = frame.base(start + h * frame.strides[i])
+            raise ColorConflictError(f"edge {(base, i + 1)}: {names[old]} vs {names[new]}")
 
 
-def _read_off(frame: _Frame, origin: Vertex, sizes: tuple[int, ...],
+def _read_off(frame: RectColoring, origin: Vertex, sizes: tuple[int, ...],
               chain: Sequence[tuple[int, str]]) -> None:
     """Color the box and its adjacent edges by the rule of the module
     docstring; ``chain`` lists (r_j, s_j) for j = 1..m.  Each path along
@@ -166,14 +219,14 @@ def _read_off(frame: _Frame, origin: Vertex, sizes: tuple[int, ...],
 
 
 def _bc1(
-    frame: _Frame, origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
+    frame: RectColoring, origin: Vertex, sizes: tuple[int, ...], axes: tuple[int, ...]
 ) -> None:
     """Boundary-condition coloring with 2n+1 colors: the rule with
     r_1..r_m = ``axes`` and s_j = P(j+1), so r_m is peeled first."""
     _read_off(frame, origin, sizes, [(ax, P(j)) for j, ax in enumerate(axes, start=2)])
 
 
-def _bc2(frame: _Frame, origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
+def _bc2(frame: RectColoring, origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -> None:
     """Boundary-condition coloring with 2n colors; needs an odd side.
 
     The rule over the other axes in ascending order with s_j = P(j+1),
@@ -187,7 +240,7 @@ def _bc2(frame: _Frame, origin: Vertex, sizes: tuple[int, ...], odd_axis: int) -
     _read_off(frame, origin, sizes, chain + [(odd_axis, C(odd_axis))])
 
 
-def _shifted_core(frame: _Frame, box: Box, t: Vector) -> None:
+def _shifted_core(frame: RectColoring, box: Box, t: Vector) -> None:
     """Core construction on the box; assumes validated arguments.
 
     The 2n slabs and the final 2-cube are written into the one frame;
@@ -218,15 +271,15 @@ def _shifted_core(frame: _Frame, box: Box, t: Vector) -> None:
 # public constructions
 # ---------------------------------------------------------------------------
 
-def color_bc1(box: Box) -> dict[Edge, str]:
+def color_bc1(box: Box) -> RectColoring:
     """Proper (2n+1)-coloring of the box and its adjacent edges with the
     boundary condition."""
     frame = _blank(box)
     _bc1(frame, box.origin, box.sizes, tuple(range(1, box.n + 1)))
-    return _as_dict(frame)
+    return frame
 
 
-def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
+def color_bc2(box: Box, odd_axis: int) -> RectColoring:
     """Proper 2n-coloring with the boundary condition; color n+1 unused.
 
     Requires the side along ``odd_axis`` to be odd.
@@ -235,7 +288,7 @@ def color_bc2(box: Box, odd_axis: int) -> dict[Edge, str]:
         raise InvalidInputError(f"odd_axis {odd_axis} out of range")
     frame = _blank(box)
     _bc2(frame, box.origin, box.sizes, odd_axis)
-    return _as_dict(frame)
+    return frame
 
 
 def _require_cube_4k2(box: Box) -> int:
@@ -261,7 +314,7 @@ def check_shift(box: Box, t: Vector) -> int:
     return k
 
 
-def color_core(box: Box) -> dict[Edge, str]:
+def color_core(box: Box) -> RectColoring:
     """Boundary + core condition coloring of a cube of side d = 4k+2.
 
     The construction runs one stage per axis: stage i splits the
@@ -275,7 +328,7 @@ def color_core(box: Box) -> dict[Edge, str]:
     return color_shifted_core(box, (0,) * box.n)
 
 
-def color_shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
+def color_shifted_core(box: Box, t: Vector) -> RectColoring:
     """Boundary + t-shifted-core condition coloring of a side-d cube.
 
     Stage i uses slab extents 2k-1+t_i and 2k-1-t_i (both odd since t_i
@@ -285,67 +338,155 @@ def color_shifted_core(box: Box, t: Vector) -> dict[Edge, str]:
     check_shift(box, t)
     frame = _blank(box)
     _shifted_core(frame, box, t)
-    return _as_dict(frame)
+    return frame
 
 
 # ---------------------------------------------------------------------------
 # verifiers -- checks of the definitions, independent of the constructions
-# above; each makes one pass through the grid kernel
+# above; one certifier reads the frame's blocks
 # ---------------------------------------------------------------------------
 
-def _box_edge_count(sizes: Sequence[int]) -> int:
-    """Edges in a box plus its adjacent edges.
+_PRESENT = bytes([0]) + bytes([1]) * 255  # translates every nonzero byte to 1
+_OFF_PALETTE = 255  # the byte a loaded color outside the palette gets
+_SLAB = 1 << 22  # bytes per incident array that the properness check holds
 
-    Along axis i there are (a_i + 2) * prod_{j != i} (a_j + 1) of them.
+
+def _load(coloring: Mapping[Edge, str], box: Box) -> tuple[RectColoring, bool]:
+    """The coloring as the box's frame, and whether it holds a key off that
+    frame.  A coloring built for the box is its own frame; any other
+    mapping is written into a blank one, a color outside the palette as a
+    byte that no slot has."""
+    if isinstance(coloring, RectColoring) and coloring.ranges == [
+            range(b - 1, b + a + 1) for b, a in zip(box.origin, box.sizes)]:
+        return coloring, False
+    frame = _blank(box)
+    code = {color: slot for slot, color in enumerate(palette(box.n), start=1)}
+    alien = False
+    for key, color in coloring.items():
+        at = frame._at(key)
+        if at is None:
+            alien = True
+            continue
+        try:
+            at[0][at[1]] = code.get(color, _OFF_PALETTE)
+        except TypeError:  # an unhashable color
+            at[0][at[1]] = _OFF_PALETTE
+    return frame, alien
+
+
+def _edge_mask(sizes: Sequence[int], i: int) -> bytes:
+    """1 at the frame vertices where an edge along axis i + 1 of the box
+    or an adjacent edge is based, else 0: offsets 0 .. a_i + 1 along axis
+    i + 1, and along every other axis 1 .. a_j + 1, the box itself."""
+    mask = b"\x01"
+    for j in reversed(range(len(sizes))):
+        mask = mask * (sizes[j] + 2) if j == i else bytes(len(mask)) + mask * (sizes[j] + 1)
+    return mask
+
+
+def _slab(frame: RectColoring, i: int, x: int) -> bytes:
+    """Block i's bytes at the frame vertices whose offset along axis i + 1 is x."""
+    block, st = frame.blocks[i], frame.strides[i]
+    period = st * frame.radices[i]
+    return b"".join(block[h + x * st:h + x * st + st] for h in range(0, len(block), period))
+
+
+def _proper(frame: RectColoring) -> bool:
+    """Whether no frame vertex meets two edges of one color.
+
+    At each vertex, axis i + 1 gives two incident arrays: the block itself,
+    the edge that starts there, and the block moved by one stride, the edge
+    that ends there, with the slab at offset 0 cleared where the move
+    wraps.  Each array turns its zeros into a filler byte of its own, so
+    two arrays agree at a vertex only where it sees one color twice.  Each
+    pair is XORed as integers, and (x - 0x0101...) & ~x & 0x8080... finds
+    a zero byte.  The arrays are taken in slabs of whole rows along axis
+    1, so their integers stay small.
     """
-    vertices = 1
-    for a in sizes:
-        vertices *= a + 1
-    return sum((a + 2) * (vertices // (a + 1)) for a in sizes)
+    n, row, total = len(frame.blocks), frame.strides[0], len(frame.blocks[0])
+    fillers = [bytes([2 * n + 2 + k]) + bytes(range(1, 256)) for k in range(2 * n)]
+    step = max(1, _SLAB // row) * row
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        size = stop - start
+        ones = int.from_bytes(b"\x01" * size, "little")
+        highs = ones << 7
+        arrays = []
+        for i, (block, st, r) in enumerate(zip(frame.blocks, frame.strides, frame.radices)):
+            starts = block[start:stop]
+            if i == 0:
+                ends = block[start - st:stop - st] if start else bytes(st) + block[:stop - st]
+            else:
+                ends = bytearray(st) + starts[:size - st]
+                for h in range(st):
+                    ends[h::st * r] = bytes(len(range(h, size, st * r)))
+            arrays += [starts.translate(fillers[2 * i]), ends.translate(fillers[2 * i + 1])]
+        ints = [int.from_bytes(array, "little") for array in arrays]
+        for a, b in combinations(ints, 2):
+            x = a ^ b
+            if (x - ones) & ~x & highs:
+                return False
+    return True
 
 
-def _boundary_holds(coloring: dict[Edge, str], box: Box, core: Optional[Box] = None) -> bool:
-    """One kernel pass: proper, palette-only, no alien keys, adjacent edges
-    along e_i colored c_i and, given a core, color n+1 only on its edges.
-    Raises InvalidInputError when an edge of the box or an adjacent one
-    is missing."""
-    n = box.n
-    everywhere = b"\x01" * (2 * n + 1)
-    inside = everywhere if core is None else everywhere[:-1] + b"\x00"
-    # kind 0: inside the box, kind 1: adjacent, kind 2: on the core
-    rules = [(inside, bytes(slot == i for slot in range(2 * n + 1)), everywhere)
-             for i in range(n)]
-    index, classes = _box_frame(box, rules)
-    if core is not None:
-        lows = [c - b + 1 for c, b in zip(core.origin, box.origin)]
-        _mark_core([kind for _, _, kind in classes.values()], lows, [a + 3 for a in box.sizes], 2)
-    slot_of = {color: slot for slot, color in enumerate(palette(n))}.get
-    scan = _scan_coloring(coloring.items(), index, classes, 2 * n + 1, slot_of)
-    # valid keys are distinct edges of the set, so fewer means missing ones
-    if scan.count < _box_edge_count(box.sizes):
-        missing = next(e for e in edges_in(box) + adjacent_edges(box) if e not in coloring)
+def _holds(frame: RectColoring, alien: bool, core: Optional[Box] = None) -> bool:
+    """The rect certifier: the box's frame holds exactly the edges of the
+    box and its adjacent edges, every one in the palette, adjacent edges
+    along e_i colored c_i, properly, and, given a core, color n+1 only on
+    the core's edges.  ``alien`` says that keys off the frame were dropped
+    while loading it.  Raises InvalidInputError naming the first missing
+    edge in (base, axis) order."""
+    n = len(frame.blocks)
+    sizes = [r - 2 for r in frame.radices]
+    missing = []
+    for i, block in enumerate(frame.blocks):
+        mask, seen = _edge_mask(sizes, i), block.translate(_PRESENT)
+        if seen != mask:
+            holes = int.from_bytes(mask, "big") & ~int.from_bytes(seen, "big")
+            alien = alien or not holes
+            if holes:
+                u = len(mask) - 1 - (holes.bit_length() - 1) // 8
+                missing.append((frame.base(u), i + 1))
+    if missing:
         raise InvalidInputError(
             f"coloring is not total on the box and its adjacent edges; "
-            f"first missing: {missing}"
+            f"first missing: {min(missing)}"
         )
-    return not (scan.alien or scan.off_palette or scan.misplaced or scan.clashes)
+    palette_bytes = bytes(range(2 * n + 2))
+    if alien or any(block.translate(None, palette_bytes) for block in frame.blocks):
+        return False
+    for i in range(n):
+        ends = _slab(frame, i, 0) + _slab(frame, i, frame.radices[i] - 1)
+        if ends.translate(None, bytes((0, i + 1))):
+            return False
+    if core is not None:
+        extra = 2 * n + 1
+        lows = [c - low for c, low in zip(core.origin, frame.lows)]
+        on_core = sum(
+            frame.blocks[i][u] == extra
+            for i in range(n)
+            for u in _outer_sum([[(low + x) * st for x in range(2 if j == i else 3)]
+                                 for j, (low, st) in enumerate(zip(lows, frame.strides))])
+        )
+        if sum(block.count(extra) for block in frame.blocks) != on_core:
+            return False
+    return _proper(frame)
 
 
-def verify_boundary_condition(coloring: dict[Edge, str], box: Box) -> bool:
+def verify_boundary_condition(coloring: Mapping[Edge, str], box: Box) -> bool:
     """Proper on box + adjacent edges; adjacent edges parallel to e_i are c_i.
 
-    One pass over the coloring.  Keys that are not edges of the box or
-    adjacent to it, and colors outside palette(n), also fail; a missing
-    edge raises InvalidInputError.
+    Keys that are not edges of the box or adjacent to it, and colors
+    outside palette(n), also fail; a missing edge raises InvalidInputError.
+    A coloring built for the box is certified from its blocks.
     """
-    return _boundary_holds(coloring, box)
+    return _holds(*_load(coloring, box))
 
 
-def verify_shifted_core(coloring: dict[Edge, str], box: Box, t: Vector) -> bool:
+def verify_shifted_core(coloring: Mapping[Edge, str], box: Box, t: Vector) -> bool:
     """The boundary condition plus: color n+1 only on t-shifted-core edges.
 
-    The same single kernel pass, with the core's edges the only ones
-    inside the box whose rule row admits the extra color.  Raises when
-    the box has an odd side (no core exists).
+    Raises when the box has an odd side (no core exists).
     """
-    return _boundary_holds(coloring, box, box.shifted_core(tuple(t)))
+    core = box.shifted_core(tuple(t))
+    return _holds(*_load(coloring, box), core)

@@ -20,6 +20,10 @@ Each one reads a definition literally and makes no claim to speed:
   every height and search each layer vertex's free color among the
   candidates, the reference for the closed-form rule of
   ``chromatile.rectcolor._read_off``;
+* ``box_frame`` and ``box_holds``: the rectangle conditions checked by
+  the per-edge kernel ``chromatile.grid._scan_coloring`` over a frame of
+  vertex tuples, the reference for the block certifier of
+  ``chromatile.rectcolor``;
 * ``read_off`` and ``read_off_bc1``, ``read_off_bc2`` and
   ``read_off_shifted_core``: the closed-form rule written edge by edge
   into a dict through ``_store``, the reference for the byte runs that
@@ -79,7 +83,10 @@ from chromatile.document import (
     fmt_vec,
 )
 from chromatile.errors import InfeasibleError, InvalidInputError, VerificationError
-from chromatile.grid import Box, Edge, SchreierGraphView, Torus, Vertex, edges_in
+from chromatile.grid import (
+    Box, Edge, SchreierGraphView, Torus, Vertex, _frame_index, _mark_core, _outer_sum,
+    _scan_coloring, _strides, adjacent_edges, edges_in,
+)
 from chromatile.lattice import (
     GeneratorSet,
     SubgroupBasis,
@@ -305,6 +312,59 @@ def _bc2(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...], odd_axis:
 # ---------------------------------------------------------------------------
 # the closed-form rule of the rectangle builders, one edge at a time
 # ---------------------------------------------------------------------------
+
+def box_frame(
+    box: Box, rules: Sequence[tuple[bytes, ...]]
+) -> tuple[dict[Vertex, int], dict[int, tuple]]:
+    """Frame and edge classes (keyed by axis) of the edges in a box and
+    adjacent to it; class i + 1 takes the rule rows ``rules[i]``.
+
+    The frame is the box padded by one vertex on every side, so the box
+    spans frame offsets 1 .. a_i + 1.  Along its own axis an edge's base
+    runs from offset 0 to a_i + 1; along every other axis it stays inside.
+    The adjacent edges, at offsets 0 and a_i + 1, are kind 1, the rest 0.
+    """
+    radices = [a + 3 for a in box.sizes]
+    index = _frame_index([b - 1 for b in box.origin], radices)
+    absent = -len(index)  # keeps every sum it enters negative
+    strides = _strides(radices)
+    classes = {}
+    for i in range(box.n):
+        columns = [
+            [(x + 1) * st if x <= a + 1 else absent for x in range(a + 3)]
+            if j == i
+            else [x * st if 1 <= x <= a + 1 else absent for x in range(a + 3)]
+            for j, (a, st) in enumerate(zip(box.sizes, strides))
+        ]
+        ends = [[int(j == i and x in (0, a + 1)) for x in range(a + 3)]
+                for j, a in enumerate(box.sizes)]
+        classes[i + 1] = (_outer_sum(columns), rules[i], bytearray(_outer_sum(ends)))
+    return index, classes
+
+
+def box_holds(coloring: dict[Edge, str], box: Box, core: Optional[Box] = None) -> bool:
+    """The rectangle conditions in one ``_scan_coloring`` pass over the
+    coloring's items: proper, palette-only, no alien keys, adjacent edges
+    along e_i colored c_i and, given a core, color n+1 only on its edges.
+    Raises InvalidInputError when an edge of the box or an adjacent one is
+    missing."""
+    n = box.n
+    everywhere = b"\x01" * (2 * n + 1)
+    inside = everywhere if core is None else everywhere[:-1] + b"\x00"
+    # kind 0: inside the box, kind 1: adjacent, kind 2: on the core
+    rules = [(inside, bytes(slot == i for slot in range(2 * n + 1)), everywhere)
+             for i in range(n)]
+    index, classes = box_frame(box, rules)
+    if core is not None:
+        lows = [c - b + 1 for c, b in zip(core.origin, box.origin)]
+        _mark_core([kind for _, _, kind in classes.values()], lows, [a + 3 for a in box.sizes], 2)
+    slot_of = {color: slot for slot, color in enumerate(palette(n))}.get
+    scan = _scan_coloring(coloring.items(), index, classes, 2 * n + 1, slot_of)
+    # valid keys are distinct edges of the set, so fewer means missing ones
+    if scan.count < len(edges_in(box)) + len(adjacent_edges(box)):
+        raise InvalidInputError("coloring is not total on the box and its adjacent edges")
+    return not (scan.alien or scan.off_palette or scan.misplaced or scan.clashes)
+
 
 def read_off(out: dict[Edge, str], origin: Vertex, sizes: tuple[int, ...],
              chain: Sequence[tuple[int, str]]) -> None:

@@ -1,13 +1,17 @@
 """File formats, rendering, and the command-line surface."""
 
 import io
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chromatile
 from chromatile import tiling as tiling_module
 from chromatile.cli import main
 from chromatile.document import (
@@ -237,7 +241,7 @@ class TestColoringDocuments:
             else:
                 doc = document_for_torus((13,), 6, "plain", color_tiling(brick_tiling(Torus((13,)), 6)))
             write, reference = serialize_coloring, reference_serialize_coloring
-            doc.coloring[key] = doc.legend[0]
+            doc.coloring = {**doc.coloring, key: doc.legend[0]}
         with pytest.raises(InvalidInputError) as err:
             write(doc)
         assert str(err.value) == f"{message} or has a class it lacks"
@@ -647,6 +651,38 @@ def _call(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# runs main on its arguments with the address space capped at 2 GiB
+CAPPED_MAIN = """
+import resource, sys
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from chromatile.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # more frame bytes than an index can hold
+        ["color-rect", "--sizes", "10000000000,10000000000", "--mode", "bc1"],
+        # more than the cap: a 3 GB frame
+        ["color-rect", "--sizes", "3000000000", "--mode", "bc1"],
+        ["color-torus", "--moduli", "100000000000,100000000000", "--d", "10"],
+    ],
+    ids=["rect-index", "rect-memory", "torus-memory"],
+)
+def test_oversized_input_is_infeasible(argv):
+    """Parameters whose data cannot be held end in one line and exit 3, not
+    a traceback, in a child process whose address space is capped."""
+    env = {"PYTHONPATH": str(Path(chromatile.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("infeasible: ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 class TestCli:

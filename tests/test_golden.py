@@ -16,7 +16,7 @@ import pytest
 
 from chromatile.cli import main
 from chromatile.grid import Box
-from chromatile.rectcolor import _as_dict, _bc1, _blank, color_bc2, color_shifted_core
+from chromatile.rectcolor import _bc1, _blank, color_bc2, color_shifted_core
 from reference import admissible_shifts
 
 # input files written as given: generating sets, listing one of v, -v (every
@@ -159,7 +159,7 @@ def _builder_sweep():
             for order in permutations(range(1, n + 1)):
                 frame = _blank(box)
                 _bc1(frame, box.origin, box.sizes, order)
-                yield "bc1", box, order, _as_dict(frame)
+                yield "bc1", box, order, frame
             for ax in range(1, n + 1):
                 if sizes[ax - 1] % 2:
                     yield "bc2", box, ax, color_bc2(box, ax)

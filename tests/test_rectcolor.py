@@ -1,12 +1,15 @@
 """Rectangle colorings against the literal condition verifiers."""
 
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromatile.document import document_for_rect, serialize_coloring
+from chromatile import rectcolor
 from chromatile.errors import (
     ColorConflictError,
     InfeasibleError,
@@ -16,10 +19,11 @@ from chromatile.grid import Box, Torus, adjacent_edges, edges_in
 from chromatile.rectcolor import (
     C,
     P,
-    _as_dict,
+    RectColoring,
     _bc1,
     _bc2,
     _blank,
+    _edge_mask,
     _store,
     color_bc1,
     color_bc2,
@@ -51,7 +55,7 @@ def built(write, origin, sizes, arg):
     """The coloring that an internal builder writes into a blank frame."""
     frame = _blank(Box(origin, sizes))
     write(frame, origin, sizes, arg)
-    return _as_dict(frame)
+    return frame
 
 
 def bc1_in_order(box, order):
@@ -81,7 +85,7 @@ class TestBlockWrites:
         _bc1(frame, box.origin, box.sizes, (1,))
         with pytest.raises(ColorConflictError, match=r"^edge \(\(5,\), 1\): 2 vs c1$"):
             _bc2(frame, box.origin, box.sizes, 1)
-        assert _as_dict(frame) == color_bc1(box)
+        assert frame == color_bc1(box)
 
     @pytest.mark.parametrize("sizes", [(2, 3), (3, 3, 2), (4, 1, 3)])
     def test_message_names_the_edge_and_both_colors(self, sizes):
@@ -104,7 +108,7 @@ class TestBlockWrites:
         frame = _blank(box)
         _bc1(frame, box.origin, box.sizes, (1, 2))
         _bc1(frame, box.origin, box.sizes, (1, 2))
-        assert _as_dict(frame) == color_bc1(box)
+        assert frame == color_bc1(box)
 
 
 class TestBuiltInPlace:
@@ -482,3 +486,128 @@ class TestOnePassVerifiers:
         good = dict(color_core(box).items())
         broken = {**good, ((6,), 1): P(1)}
         assert not verify_shifted_core(broken, box, (0,))
+
+
+@st.composite
+def certifier_cases(draw):
+    """A build in one of the four modes on a box with n <= 4 at a random
+    origin, kept to about 1,000 vertices, with the builder's arguments."""
+    n = draw(st.integers(1, 4))
+    origin = tuple(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+    mode = draw(st.sampled_from(["bc1", "bc2", "core", "shifted"]))
+    if mode in ("core", "shifted"):
+        d = draw(st.sampled_from([d for d in (2, 6, 10) if (d + 1) ** n <= 1000]))
+        box = Box(origin, (d,) * n)
+        t = draw(st.sampled_from(list(admissible_shifts(d, n)))) if mode == "shifted" else (0,) * n
+        return box, mode, t
+    sizes, vertices = [], 1
+    for _ in range(n):
+        side = draw(st.integers(1, max(1, min(9, 1000 // vertices - 1))))
+        sizes.append(side)
+        vertices *= side + 1
+    if mode == "bc2":
+        sizes[draw(st.integers(0, n - 1))] |= 1  # an odd side
+    return Box(origin, tuple(sizes)), mode, None
+
+
+def build(box, mode, t):
+    if mode == "bc1":
+        return color_bc1(box)
+    if mode == "bc2":
+        return color_bc2(box, next(ax for ax, a in enumerate(box.sizes, start=1) if a % 2))
+    return color_shifted_core(box, t) if mode == "shifted" else color_core(box)
+
+
+def decoded(frame):
+    """The frame's edges as a plain dict, a byte with no palette slot read
+    as the color "x"."""
+    names = [None] + palette(len(frame.blocks)) + ["x"] * 255
+    return {
+        (frame.base(u), axis): names[byte]
+        for axis, block in enumerate(frame.blocks, start=1)
+        for u, byte in enumerate(block) if byte
+    }
+
+
+class TestBlockCertifier:
+    """The certifier over a frame's blocks gives the verdict of the per-edge
+    kernel reference, on each build and on single-byte mutants of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(certifier_cases(), st.data())
+    def test_agrees_with_the_reference(self, case, data):
+        box, mode, t = case
+        core = box.shifted_core(t) if t is not None else None
+        verify = (lambda c: verify_shifted_core(c, box, t)) if t is not None else (
+            lambda c: verify_boundary_condition(c, box))
+        good = build(box, mode, t)
+        n, extra = box.n, 2 * box.n + 1
+        doc = document_for_rect(box.origin, box.sizes, mode, good, t)
+        assert serialize_coloring(doc) == reference.serialize_coloring(
+            document_for_rect(box.origin, box.sizes, mode, decoded(good), t))
+        masks = [_edge_mask(box.sizes, i) for i in range(n)]
+        edges = [(i, u) for i, mask in enumerate(masks) for u, bit in enumerate(mask) if bit]
+        holes = [(i, u) for i, mask in enumerate(masks) for u, bit in enumerate(mask) if not bit]
+        ends = [(i, u) for i, u in edges
+                if u // good.strides[i] % good.radices[i] in (0, good.radices[i] - 1)]
+        i, u = data.draw(st.sampled_from(edges))
+        mutants = [(i, u, slot) for slot in range(1, extra + 1)]  # every recolor
+        mutants.append((i, u, 0))  # a deleted edge
+        mutants.append((i, u, extra + 1))  # off the palette
+        end = data.draw(st.sampled_from(ends))  # a wrong color on an adjacent edge
+        mutants.append(end + (data.draw(st.integers(1, extra).filter(lambda b: b != end[0] + 1)),))
+        if holes:  # a byte off the edge mask
+            mutants.append(data.draw(st.sampled_from(holes)) + (data.draw(st.integers(1, extra)),))
+        if core is not None:  # color n+1 off the core
+            on_core = set(edges_in(core))
+            off_core = [(i, u) for i, u in edges if (good.base(u), i + 1) not in on_core]
+            mutants.append(data.draw(st.sampled_from(off_core)) + (extra,))
+        for i, u, byte in [(0, 0, None)] + mutants:
+            mutant = RectColoring(good.lows, good.radices, [bytearray(b) for b in good.blocks])
+            if byte is not None:
+                mutant.blocks[i][u] = byte
+            plain = decoded(mutant)
+            try:
+                expected = reference.box_holds(plain, box, core)
+            except InvalidInputError:
+                with pytest.raises(InvalidInputError, match=re.escape(
+                        f"first missing: {(mutant.base(u), i + 1)}")):
+                    verify(mutant)
+                with pytest.raises(InvalidInputError):
+                    verify(plain)
+                continue
+            assert verify(mutant) == verify(plain) == expected, (i, u, byte)
+            if byte is None:
+                assert expected
+
+    @pytest.mark.parametrize("box,t", [(Box((3, -1), (10, 10)), (2, 0)),
+                                       (Box((0, 2, -5), (2, 2, 2)), (0, 0, 0))])
+    def test_one_row_slabs(self, box, t, monkeypatch):
+        """With each frame row its own slab, every recolor of every edge
+        still gets the reference's verdict."""
+        monkeypatch.setattr(rectcolor, "_SLAB", 1)
+        good = color_shifted_core(box, t)
+        core = box.shifted_core(t)
+        for i, block in enumerate(good.blocks):
+            for u in range(len(block)):
+                for slot in range(1, 2 * box.n + 2) if block[u] else ():
+                    mutant = RectColoring(good.lows, good.radices, [bytearray(b) for b in good.blocks])
+                    mutant.blocks[i][u] = slot
+                    expected = reference.box_holds(decoded(mutant), box, core)
+                    assert verify_shifted_core(mutant, box, t) == expected, (i, u, slot)
+
+
+def test_certifying_holds_few_bytes_per_edge():
+    """Building and certifying a 1002^2 core (2M edges) from its blocks peaks
+    under 16 bytes per edge; a dict of the edges costs about 156."""
+    box = Box((0, 0), (1002, 1002))
+    tracemalloc.start()
+    try:
+        coloring = color_core(box)
+        assert verify_shifted_core(coloring, box, (0, 0))
+        edges = len(coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == 2 * 1004 * 1003
+    assert peak < 16 * edges
