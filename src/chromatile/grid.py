@@ -180,7 +180,7 @@ class SchreierGraphView:
 # ---------------------------------------------------------------------------
 # one-pass certification kernel
 #
-# The torus and layered verifiers check a coloring with
+# ``_certify_level`` checks a torus or layered coloring with
 # ``_scan_coloring``: one pass over its items that turns both endpoints
 # of every key into a mixed-radix vertex index and marks (vertex, color
 # slot) in a bytearray, so a slot marked twice is a vertex that sees one
@@ -262,15 +262,14 @@ def _torus_frame(
                    for cls, (step, rules) in steps.items()}
 
 
-def _mark_core(kinds: Sequence[bytearray], origin: Sequence[int], moduli: Sequence[int],
-               value: int, place: Optional[dict[int, int]] = None) -> None:
-    """Give the edges of the 2 x ... x 2 cube at ``origin`` kind ``value``:
-    ``kinds[i]`` is the class along axis i + 1, and each base's row-major
-    index modulo ``moduli`` is sent onto the frame by ``place``, if given."""
-    n = len(origin)
+def _mark_core(kinds: Sequence[bytearray], place: Sequence[int], value: int) -> None:
+    """Give the edges of a 2 x ... x 2 cube kind ``value``: ``place`` lists
+    the frame index of each of its 3^k vertices in row-major order, and
+    ``kinds[i]`` is the class along its axis i + 1."""
+    k = len(kinds)
     for i, kind in enumerate(kinds):
-        for u in _box_index(origin, [2 if j == i else 3 for j in range(n)], moduli):
-            kind[u if place is None else place[u]] = value
+        for u in _box_index([0] * k, [2 if j == i else 3 for j in range(k)], [3] * k):
+            kind[place[u]] = value
 
 
 def _scan_coloring(
@@ -326,12 +325,27 @@ def _scan_coloring(
     return _Scan(count, alien, off_palette, misplaced, clashes, seen)
 
 
-def _scan_problems(
-    scan: _Scan, expected: int, index: dict[Vertex, int], palette: Sequence[object]
-) -> list[str]:
-    """Totality, palette and properness problems of a scan, one line each."""
+def _certify_level(
+    items: Iterable[tuple[Hashable, object]], moduli: Sequence[int],
+    steps: dict[Hashable, tuple[Vector, tuple[bytes, ...]]],
+    cores: Iterable[tuple[Sequence[Hashable], Sequence[Vertex]]], palette: Sequence[object],
+) -> tuple[_Scan, list[str]]:
+    """Certify a torus coloring in one kernel pass: the torus path, and
+    every level of the layered one.
+
+    ``steps`` gives each edge class its step and rule rows, as
+    ``_torus_frame`` takes them; each of ``cores`` is a cube's classes
+    along its axes and its 3^k reduced vertices in row-major order, whose
+    edges turn kind 1.  Returns the scan, and its totality, palette and
+    properness problems, one line each.
+    """
+    index, classes = _torus_frame(moduli, steps)
+    for keys, vertices in cores:
+        _mark_core([classes[key][2] for key in keys], [index[v] for v in vertices], 1)
+    slot_of = {color: slot for slot, color in enumerate(palette)}.get
+    scan = _scan_coloring(items, index, classes, len(palette), slot_of)
     problems = []
-    missing = expected - scan.count
+    missing = len(steps) * len(index) - scan.count
     if missing or scan.alien:
         line = f"edge totality broken: {missing} missing, {len(scan.alien)} alien"
         if scan.alien:
@@ -350,4 +364,4 @@ def _scan_problems(
             f"coloring is not proper: vertex {vertex} sees color {palette[slot]} "
             f"twice ({len(scan.clashes)} repeats in all)"
         )
-    return problems
+    return scan, problems

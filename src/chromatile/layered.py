@@ -6,7 +6,10 @@ are colored from the top (i = m) down to 0.  Each level's orbits under
 <S_i> are charted as product tori via the level's independent basis,
 tiled with marker-sized boxes, and colored with fresh per-level colors;
 the one shared color 0 replaces each level's local extra color n_i + 1
-and is confined to (shifted) cores.
+and is confined to (shifted) cores.  Each level is placed by
+``tiling._place_level`` and certified by ``grid._certify_level``, the
+torus path's own: the standard-generator torus is the one-level case,
+on the identity chart.
 
 A level below the top must place its cores so color 0 never meets the
 already-fixed cores above it.  For each all-even region the chosen core
@@ -25,21 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
-from .grid import (
-    SchreierGraphView,
-    Torus,
-    Vertex,
-    _box_index,
-    _mark_core,
-    _outer_sum,
-    _scan_coloring,
-    _scan_problems,
-    _torus_frame,
-)
+from .grid import SchreierGraphView, Torus, Vertex, _box_index, _certify_level, _outer_sum
 from .lattice import (
     Decomposition,
     GeneratorSet,
@@ -49,15 +42,9 @@ from .lattice import (
     integer_kernel,
     vscale,
 )
-from .rectcolor import P, _store, check_shift, palette
+from .rectcolor import P, check_shift, palette
 from .tiling import (
-    Tiling,
-    brick_tiling,
-    is_all_even,
-    local_edges,
-    region_frame,
-    segment_lengths,
-    validate_tiling,
+    Tiling, _place_level, brick_tiling, is_all_even, segment_lengths, validate_tiling,
 )
 
 ZERO = "0"
@@ -215,9 +202,7 @@ def level_color_name(color: str, level: int, chart_dim: int) -> str:
 
 
 def level_palette(level: int, chart_dim: int) -> list[str]:
-    return [f"c{j}@{level}" for j in range(1, chart_dim + 1)] + [
-        f"p{j}@{level}" for j in range(1, chart_dim + 1)
-    ]
+    return [level_color_name(c, level, chart_dim) for c in palette(chart_dim)[:-1]]
 
 
 @dataclass(frozen=True)
@@ -243,23 +228,17 @@ def run_layered(
     Every all-even chart region is colored through a shifted core, with
     the shift factor a chosen as the least value in [0, alpha] whose
     translated core avoids all higher levels' core sets; regions with an
-    odd side take the 2n_i-coloring and contribute no core.  The
-    coloring is a plain dict keyed (ambient vertex, canonical step).
-    Every write goes through ``rectcolor._store``, so an edge that two
-    regions share must get the same color from both, or the run raises
-    ColorConflictError.
-
-    A region's placed edges depend on its index and shift factor alone,
-    so they are looked up once per level and reused for every orbit of
-    it: the region's ``tiling.local_edges`` blocks, and its
-    ``tiling.region_frame``, which sends a frame position to a chart
-    row-major index.  Orbit rep writes the edge at chart index i to
-    ``orbit(rep)[i]``, so no edge goes through the chart map one by
-    one; the level's tables send a block's axis to its basis step and
-    a byte to its level color.  The shift search and the chart/ambient
-    agreement check stay per orbit.
+    odd side take the 2n_i-coloring and contribute no core.  Each level
+    is one call of the level placer ``tiling._place_level``, whose
+    one-level case on the identity chart is ``tiling.color_tiling``, so an
+    edge that two regions share must get the same color from both, or the
+    run raises ColorConflictError.  The coloring is a plain dict keyed
+    (ambient vertex, canonical step).  The shift search and the
+    chart/ambient agreement check run per orbit; a shifted core's chart
+    indices are computed once per level.
     """
-    if len(models) != dec.level_count + 1 or len(tilings) != len(models):
+    if (len(models) != dec.level_count + 1 or len(tilings) != len(models)
+            or any(t.torus.moduli != m.chart_moduli for m, t in zip(models, tilings))):
         raise InvalidInputError("models/tilings do not match the decomposition")
     torus = models[0].ambient_torus()
     if any(m.moduli != torus.moduli for m in models):
@@ -267,8 +246,6 @@ def run_layered(
     d = tilings[0].d
     if any(t.d != d for t in tilings):
         raise InvalidInputError("all levels must share one marker distance")
-    if d % 4 != 2:
-        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {d}")
     beta_s = vscale(dec.beta, dec.s)
 
     coloring: dict[tuple[Vertex, Vector], str] = {}
@@ -281,63 +258,50 @@ def run_layered(
         tiling = tilings[level]
         report = validate_tiling(tiling)
         if not report.ok:
-            raise InvalidInputError(
-                f"level {level} tiling invalid: " + "; ".join(report.problems)
-            )
+            raise InvalidInputError(f"level {level} tiling invalid: " + "; ".join(report.problems))
         ni = model.chart_dim
-        # a block byte is a palette slot plus 1
-        names = [None] + [level_color_name(c, level, ni) for c in palette(ni)]
         coeffs = dec.a_coeffs[level]
         chart_moduli = model.chart_moduli
-        cores = [
-            _box_index(region.core().origin, [3] * ni, chart_moduli)
-            if is_all_even(region) else None
-            for region in tiling.regions
-        ]
-        # (region index, shift factor or None) -> (shifted core, frame, blocks)
-        placed: dict[tuple[int, Optional[int]], tuple[list[int], list[int], tuple]] = {}
+        cores = [_box_index(region.core().origin, [3] * ni, chart_moduli)
+                 if is_all_even(region) else None for region in tiling.regions]
+        # (region index, shift factor) -> (shift, shifted core)
+        shifted: dict[tuple[int, int], tuple[Vector, list[int]]] = {}
 
-        def place(idx: int, a: Optional[int]) -> tuple[list[int], list[int], tuple]:
+        def choose(rep: Vertex, points: Sequence[Vertex], idx: int) -> Vector:
+            if cores[idx] is None:
+                return (0,) * ni
             region = tiling.regions[idx]
-            t = (0,) * ni
-            core: list[int] = []
-            if a is not None:
+            base = [points[i] for i in cores[idx]]
+            for a in range(dec.alpha + 1):
+                offset = vscale(a, beta_s)
+                translated = {torus.add(p, offset) for p in base}
+                if translated.isdisjoint(busy):
+                    break
+            else:
+                raise InfeasibleError(
+                    f"no admissible core shift in [0, {dec.alpha}] at level "
+                    f"{level}, orbit {rep}, region {region.origin}; "
+                    f"d = {d} is too small for this torus"
+                )
+            if (idx, a) not in shifted:
                 t = tuple(a * c for c in coeffs)
                 try:
                     check_shift(region, t)
                 except InfeasibleError as exc:
                     raise InfeasibleError(f"level {level}, d = {d}: core {exc}") from exc
-                core = _box_index(region.shifted_core(t).origin, [3] * ni, chart_moduli)
-            blocks = local_edges(region.sizes, False, t)
-            placed[(idx, a)] = core, region_frame(region, chart_moduli), blocks
-            return placed[(idx, a)]
+                shifted[(idx, a)] = t, _box_index(
+                    region.shifted_core(t).origin, [3] * ni, chart_moduli)
+            t, core = shifted[(idx, a)]
+            if {points[i] for i in core} != translated:
+                raise VerificationError("chart/ambient shift disagreement")
+            k_sets[level] |= translated
+            shifts[(level, rep, idx)] = a
+            return t
 
-        for rep in model.reps:
-            points = model.orbit(rep)
-            for idx, region in enumerate(tiling.regions):
-                a = None
-                if cores[idx] is not None:
-                    base = [points[i] for i in cores[idx]]
-                    for a in range(dec.alpha + 1):
-                        offset = vscale(a, beta_s)
-                        translated = {torus.add(p, offset) for p in base}
-                        if translated.isdisjoint(busy):
-                            break
-                    else:
-                        raise InfeasibleError(
-                            f"no admissible core shift in [0, {dec.alpha}] at level "
-                            f"{level}, orbit {rep}, region {region.origin}; "
-                            f"d = {d} is too small for this torus"
-                        )
-                core, frame, blocks = placed.get((idx, a)) or place(idx, a)
-                if a is not None:
-                    if {points[i] for i in core} != translated:
-                        raise VerificationError("chart/ambient shift disagreement")
-                    k_sets[level] |= translated
-                    shifts[(level, rep, idx)] = a
-                for step, block in zip(model.basis, blocks):
-                    for u, slot in zip(compress(frame, block), compress(block, block)):
-                        _store(coloring, (points[u], step), names[slot])
+        # a block byte is a palette slot plus 1
+        names = [None] + [level_color_name(c, level, ni) for c in palette(ni)]
+        _place_level(coloring, tiling, ((rep, model.orbit(rep)) for rep in model.reps),
+                     model.basis, names, False, choose)
         busy |= k_sets[level]
 
     return LayeredResult(
@@ -368,7 +332,7 @@ def verify_layered(
     result: LayeredResult, s: GeneratorSet, moduli: Sequence[int]
 ) -> LayeredReport:
     """Totality, properness, palette size, level palettes and color-0
-    confinement in one kernel pass.
+    confinement in one pass of the level certifier ``grid._certify_level``.
 
     A level's edges carry only its own palette, and color 0 only on edges
     of the cores that its shifts place, mapped through its orbit table.
@@ -389,7 +353,6 @@ def verify_layered(
             level_of[b] = model.level
         level_colors[model.level] = level_palette(model.level, model.chart_dim)
         colors += level_colors[model.level]
-    slot_of = {color: slot for slot, color in enumerate(colors)}
 
     # one class per canonical step: kind 0 carries the level's palette, kind 1 color 0 too
     steps = {}
@@ -398,11 +361,11 @@ def verify_layered(
             problems.append(f"step {u} belongs to no level's basis")
         row = bytes(color in level_colors.get(level_of.get(u), ()) for color in colors)
         steps[u] = (u, (row, b"\x01" + row[1:]))
-    index, classes = _torus_frame(torus.moduli, steps)
 
-    cores: list[set[int]] = [set() for _ in result.models]
+    cores: list[set[Vertex]] = [set() for _ in result.models]
+    marks = []  # (basis, core vertices), one per placed core
     reps = [set(model.reps) for model in result.models]
-    placed: dict = {}  # (level, region index, a) -> the core's chart origin and vertices
+    placed: dict = {}  # (level, region index, a) -> the core's chart indices
     for key, a in result.shifts.items():
         if not (isinstance(key, tuple) and len(key) == 3
                 and isinstance(key[0], int) and isinstance(key[2], int)):
@@ -428,16 +391,14 @@ def verify_layered(
                 problems.append(f"shift {key} places no core: {exc}")
                 continue
             origin = regions[idx].shifted_core(t).origin
-            placed[(level, idx, a)] = (
-                origin, _box_index(origin, [3] * len(origin), model.chart_moduli))
-        origin, vertices = placed[(level, idx, a)]
-        point = {i: index[tuple((column[i] + r) % q for column, r, q in
-                                zip(model.offsets, rep, model.moduli))] for i in vertices}
-        cores[level].update(point.values())
-        _mark_core([classes[u][2] for u in model.basis], origin, model.chart_moduli, 1, point)
+            placed[(level, idx, a)] = _box_index(origin, [3] * len(origin), model.chart_moduli)
+        vertices = [tuple((column[i] + r) % q for column, r, q in
+                          zip(model.offsets, rep, model.moduli)) for i in placed[(level, idx, a)]]
+        cores[level].update(vertices)
+        marks.append((model.basis, vertices))
 
-    scan = _scan_coloring(result.coloring.items(), index, classes, len(colors), slot_of.get)
-    problems += _scan_problems(scan, len(steps) * torus.vertex_count(), index, colors)
+    scan, lines = _certify_level(result.coloring.items(), torus.moduli, steps, marks, colors)
+    problems += lines
     escaped = [key for key, color in scan.misplaced if color == ZERO]
     if escaped:
         problems.append(f"color 0 escapes the level-{level_of.get(escaped[0][1])} cores at "
@@ -455,7 +416,7 @@ def verify_layered(
         problems.append(f"{color_count} colors used; at most {len(s) + 1} allowed")
 
     for level, (ks, core) in enumerate(zip(result.k_sets, cores)):
-        if {index.get(v) for v in ks} != core:
+        if set(ks) != core:
             problems.append(f"level {level}: core set differs from the cores its shifts place")
     for i, j in combinations(range(len(result.k_sets)), 2):
         if result.k_sets[i] & result.k_sets[j]:

@@ -166,6 +166,9 @@ def _blank(box: Box) -> RectColoring:
                         [bytearray(size) for _ in radices])
 
 
+_NONZERO = bytes([0]) + b"\xff" * 255  # byte 0 to 0, every other byte to 0xFF
+
+
 def _conflict(frame: RectColoring, i: int, start: int, prior: bytes, run: bytes) -> None:
     """Raise ColorConflictError at the first nonzero byte of ``prior``, the
     path along axis i + 1 from frame vertex ``start``, that ``run`` contradicts."""
@@ -211,7 +214,9 @@ def _read_off(frame: RectColoring, origin: Vertex, sizes: tuple[int, ...],
                     (direction, *(free, second) * (a // 2), *(free,) * (a % 2), direction))
             path = slice(start, start + span, st)
             prior = block[path]
-            if prior != blank and prior != run:
+            # a nonzero prior byte that the run changes is a conflict
+            if prior != blank and (int.from_bytes(prior.translate(_NONZERO), "big")
+                                   & int.from_bytes(run, "big")) != int.from_bytes(prior, "big"):
                 _conflict(frame, i, start, prior, run)
             block[path] = run
         misses[i] = [j << 8 | (second if x == 0 or x == a else direction)

@@ -1,13 +1,16 @@
-"""Rectangular tilings of tori, and the global colorer.
+"""Rectangular tilings of tori, and the level placer that colors them.
 
 A tiling partitions the torus vertex set into boxes whose sides span d
 or d+1 vertices.  Since d is congruent to 2 mod 4, sides of d+1
 vertices have even length (exactly d) and sides of d vertices have odd
-length (d-1).  The global colorer gives every all-even region a core
-coloring and every region with an odd side the 2n-color boundary
-coloring; edges crossing between regions pick up the direction color
-c_i from the boundary condition of both regions they touch, which is
-what makes the union proper.
+length (d-1).  The level placer ``_place_level`` colors every region of
+a chart's tiling on every orbit: an all-even region by a (shifted) core
+coloring, a region with an odd side by the 2n-color boundary coloring.
+Edges crossing between regions pick up the direction color c_i from the
+boundary condition of both regions they touch, which is what makes the
+union proper.  ``color_tiling`` is its one-level case (one orbit on the
+identity chart, no shift) and ``layered.run_layered`` calls it per
+level; both paths certify through ``grid._certify_level``.
 
 On the shift action of Z^n such regions come from the orthogonal marker
 regions of Gao, Jackson, Krohne and Seward; on a finite torus
@@ -20,21 +23,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import InfeasibleError, InvalidInputError, VerificationError
-from .grid import (
-    Box,
-    Edge,
-    Torus,
-    Vertex,
-    _box_index,
-    _mark_core,
-    _scan_coloring,
-    _scan_problems,
-    _torus_frame,
-    unit_vector,
-)
+from .grid import Box, Edge, Torus, Vertex, _box_index, _certify_level, unit_vector
 from .lattice import Vector
 from .rectcolor import _bc1, _bc2, _blank, _shifted_core, _store, check_shift, palette
 
@@ -211,8 +203,47 @@ def region_frame(region: Box, moduli: Sequence[int]) -> list[int]:
     return _box_index([b - 1 for b in region.origin], [a + 2 for a in region.sizes], moduli)
 
 
+def _plain(mode: str) -> bool:
+    if mode not in ("plain", "core"):
+        raise InvalidInputError(f"unknown tiling mode {mode!r}")
+    return mode == "plain"
+
+
+def _place_level(out: dict, tiling: Tiling, orbits: Iterable[tuple[Vertex, Sequence[Vertex]]],
+                 keys: Sequence[Hashable], names: Sequence[Optional[str]], plain: bool,
+                 shift: Callable[[Vertex, Sequence[Vertex], int], Vector]) -> None:
+    """Color one level: every region of the chart ``tiling`` on every orbit.
+
+    An orbit is a (rep, points) pair, ``points`` listing its vertex at
+    every chart index in row-major order.  The region with index idx takes
+    the ``local_edges`` blocks of its sizes and the core shift
+    ``shift(rep, points, idx)``; ``region_frame`` sends each nonzero byte
+    to a chart index, the block along chart axis j is keyed ``keys[j-1]``
+    and a byte b names the color ``names[b]``.  Every write goes through
+    ``rectcolor._store``, so an edge that two regions share must get the
+    same color from both, or the run raises ColorConflictError.
+    """
+    if not plain and tiling.d % 4 != 2:
+        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
+    moduli = tiling.torus.moduli
+    # (region index, shift) -> (frame, blocks), shared by every orbit
+    placed: dict[tuple[int, Vector], tuple[list[int], tuple[bytes, ...]]] = {}
+    for rep, points in orbits:
+        for idx, region in enumerate(tiling.regions):
+            t = shift(rep, points, idx)
+            if (idx, t) not in placed:
+                placed[(idx, t)] = (region_frame(region, moduli),
+                                    local_edges(region.sizes, plain, t))
+            frame, blocks = placed[(idx, t)]
+            for key, block in zip(keys, blocks):
+                for u, slot in zip(compress(frame, block), compress(block, block)):
+                    _store(out, (points[u], key), names[slot])
+
+
 def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
-    """Color every edge of the torus exactly once.
+    """Color every edge of the torus exactly once: the one-level case of
+    ``layered.run_layered``, one orbit on the identity chart, cores
+    unshifted.
 
     Within-region edges come from the region's own coloring; crossing
     edges are written from both sides as the direction color via the
@@ -223,26 +254,16 @@ def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
     report = validate_tiling(tiling)
     if not report.ok:
         raise InvalidInputError("invalid tiling: " + "; ".join(report.problems))
-    if mode not in ("plain", "core"):
-        raise InvalidInputError(f"unknown tiling mode {mode!r}")
-    plain = mode == "plain"
-    if not plain and tiling.d % 4 != 2:
-        raise InfeasibleError(f"core mode needs d congruent to 2 mod 4, got {tiling.d}")
+    plain = _plain(mode)
     torus = tiling.torus
-    points = list(torus.vertices())
-    names = [None] + palette(torus.n)
+    n = torus.n
+    zero = (0,) * n
     out: dict[Edge, str] = {}
-    for region in tiling.regions:
-        frame = region_frame(region, torus.moduli)
-        blocks = local_edges(region.sizes, plain, (0,) * region.n)
-        for axis, block in enumerate(blocks, start=1):
-            for u, slot in zip(compress(frame, block), compress(block, block)):
-                _store(out, (points[u], axis), names[slot])
-    expected = torus.n * torus.vertex_count()
+    _place_level(out, tiling, [(zero, list(torus.vertices()))], range(1, n + 1),
+                 [None] + palette(n), plain, lambda rep, points, idx: zero)
+    expected = n * torus.vertex_count()
     if len(out) != expected:
-        raise VerificationError(
-            f"tiling coloring covered {len(out)} edges, expected {expected}"
-        )
+        raise VerificationError(f"tiling coloring covered {len(out)} edges, expected {expected}")
     return out
 
 
@@ -251,33 +272,27 @@ def color_tiling(tiling: Tiling, mode: str = "plain") -> dict[Edge, str]:
 # ---------------------------------------------------------------------------
 
 def verify_tiling_coloring(coloring: dict[Edge, str], tiling: Tiling, mode: str) -> TilingReport:
-    """Full certification in one pass: totality, properness, palette, confinement.
+    """Full certification in one pass: totality, properness, palette,
+    confinement, through the level certifier ``grid._certify_level``.
 
     Totality means exactly the n * |V| torus edges, keyed by their
     reduced base; the palette is the 2n+1 colors of ``palette(n)``.  In
     core mode the edges of the cores of the tiling's all-even regions
-    are marked in the frame as the only ones whose rule row admits the
-    extra color n+1, so the kernel's pass confines it too.
+    are the only ones whose rule row admits the extra color n+1.
     """
-    if mode not in ("plain", "core"):
-        raise InvalidInputError(f"unknown tiling mode {mode!r}")
+    core_mode = not _plain(mode)
     torus = tiling.torus
     n = torus.n
     colors = palette(n)
     everywhere = b"\x01" * len(colors)
-    core_mode = mode == "core"
     # kind 0: anywhere, kind 1: on a core
     rules = (everywhere[:-1] + b"\x00" if core_mode else everywhere, everywhere)
-    index, classes = _torus_frame(
-        torus.moduli, {ax: (unit_vector(n, ax), rules) for ax in range(1, n + 1)}
-    )
-    kinds = [kind for _, _, kind in classes.values()]
-    for region in tiling.regions if core_mode else ():
-        if is_all_even(region):
-            _mark_core(kinds, region.core().origin, torus.moduli, 1)
-    slot_of = {color: slot for slot, color in enumerate(colors)}.get
-    scan = _scan_coloring(coloring.items(), index, classes, len(colors), slot_of)
-    problems = _scan_problems(scan, n * torus.vertex_count(), index, colors)
+    axes = range(1, n + 1)
+    cores = [(axes, [torus.reduce(v) for v in region.core().vertices()])
+             for region in tiling.regions if core_mode and is_all_even(region)]
+    scan, problems = _certify_level(
+        coloring.items(), torus.moduli, {ax: (unit_vector(n, ax), rules) for ax in axes},
+        cores, colors)
     if scan.misplaced:
         problems.append(
             f"extra color escapes the cores at {scan.misplaced[0][0]} "

@@ -3,6 +3,7 @@ and a patch that makes two regions disagree on a crossing edge."""
 
 import pytest
 
+from chromatile import tiling
 from chromatile.grid import Box, _strides
 from chromatile.rectcolor import C, P, palette
 
@@ -37,26 +38,22 @@ def reference_2x2_coloring():
 
 @pytest.fixture
 def force_conflict(monkeypatch):
-    """Patch ``local_edges`` where a module looks it up, so that every
-    region writes its lower adjacent edge along axis 1 at its origin as
-    the plain color 1 in place of c1.  The region across that edge still
-    writes c1 there, so the two writes disagree."""
+    """Patch ``local_edges`` where the level placer looks it up, so that
+    every region writes its lower adjacent edge along axis 1 at its
+    origin as the plain color 1 in place of c1.  The region across that
+    edge still writes c1 there, so the two writes disagree."""
+    original = tiling.local_edges
 
-    def patch(module):
-        original = module.local_edges
+    def recolored(sizes, plain, shift):
+        n = len(sizes)
+        first, *rest = original(sizes, plain, shift)
+        # the frame starts at -1 on every axis, so the base (-1, 0, ..., 0)
+        # sits at offset (0, 1, ..., 1); a byte is a palette slot plus 1
+        target = sum(_strides([a + 2 for a in sizes])[1:])
+        colors = palette(n)
+        assert colors[first[target] - 1] == C(1)
+        first = bytearray(first)
+        first[target] = colors.index(P(1)) + 1
+        return (bytes(first), *rest)
 
-        def recolored(sizes, plain, shift):
-            n = len(sizes)
-            first, *rest = original(sizes, plain, shift)
-            # the frame starts at -1 on every axis, so the base (-1, 0, ..., 0)
-            # sits at offset (0, 1, ..., 1); a byte is a palette slot plus 1
-            target = sum(_strides([a + 2 for a in sizes])[1:])
-            colors = palette(n)
-            assert colors[first[target] - 1] == C(1)
-            first = bytearray(first)
-            first[target] = colors.index(P(1)) + 1
-            return (bytes(first), *rest)
-
-        monkeypatch.setattr(module, "local_edges", recolored)
-
-    return patch
+    monkeypatch.setattr(tiling, "local_edges", recolored)

@@ -8,7 +8,8 @@ Each one reads a definition literally and makes no claim to speed:
 * ``contains``: whether a box holds a vertex, bound by bound;
 * ``allowed_core_edges``: the torus edges of the cores of a tiling's
   all-even regions as a set of keys, the reference for the core kinds
-  that ``chromatile.tiling.verify_tiling_coloring`` marks in its frame;
+  that ``chromatile.grid._certify_level`` marks in its frame for
+  ``chromatile.tiling.verify_tiling_coloring``;
 * ``lattice_contains`` and ``is_linearly_independent``: membership in
   a lattice given by HNF rows, and the independence test that
   ``decompose`` applies pair by pair;
@@ -29,8 +30,9 @@ Each one reads a definition literally and makes no claim to speed:
   into a dict through ``_store``, the reference for the byte runs that
   ``chromatile.rectcolor._read_off`` writes path by path;
 * ``placed``: a region's ``local_edges`` blocks read one frame position
-  at a time into torus edge keys, the scalar form of the placement in
-  ``chromatile.tiling.color_tiling``;
+  at a time into torus edge keys, the scalar form of the level placer
+  ``chromatile.tiling._place_level``, which ``color_tiling`` and
+  ``run_layered`` share;
 * ``SftPattern``, ``matching_patterns`` and ``respects``: forbidden
   patterns on arbitrary finite supports, the generic form of
   ``respects_matching``;
@@ -356,8 +358,8 @@ def box_holds(coloring: dict[Edge, str], box: Box, core: Optional[Box] = None) -
              for i in range(n)]
     index, classes = box_frame(box, rules)
     if core is not None:
-        lows = [c - b + 1 for c, b in zip(core.origin, box.origin)]
-        _mark_core([kind for _, _, kind in classes.values()], lows, [a + 3 for a in box.sizes], 2)
+        _mark_core([kind for _, _, kind in classes.values()],
+                   [index[v] for v in core.vertices()], 2)
     slot_of = {color: slot for slot, color in enumerate(palette(n))}.get
     scan = _scan_coloring(coloring.items(), index, classes, 2 * n + 1, slot_of)
     # valid keys are distinct edges of the set, so fewer means missing ones

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chromatile
-from chromatile import tiling as tiling_module
 from chromatile.cli import main
 from chromatile.document import (
     ColoringDocument,
@@ -915,7 +914,6 @@ class TestCli:
         assert (code, out) == (1, "") and "'1,x'" in err
 
     def test_color_conflict_is_a_verification_failure(self, force_conflict, capsys):
-        force_conflict(tiling_module)
         assert main(["color-torus", "--moduli", "13,13", "--d", "6", "--mode", "core"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -14,10 +14,11 @@ from chromatile.errors import (
     InvalidInputError,
     VerificationError,
 )
-from chromatile.grid import Torus, adjacent_edges, edges_in
+from chromatile.grid import Torus, adjacent_edges, edges_in, unit_vector
 from chromatile.lattice import GeneratorSet, decompose_with_constants, vscale
 from chromatile.layered import (
     ZERO,
+    CosetModel,
     build_model,
     level_color_name,
     level_palette,
@@ -25,8 +26,15 @@ from chromatile.layered import (
     run_pipeline,
     verify_layered,
 )
-from chromatile.tiling import brick_tiling, color_tiling, verify_tiling_coloring
-from reference import orbit_reps_by_walk, to_ambient
+from chromatile.rectcolor import P
+from chromatile.tiling import (
+    brick_tiling,
+    color_tiling,
+    local_edges,
+    segment_lengths,
+    verify_tiling_coloring,
+)
+from reference import orbit_reps_by_walk, placed, to_ambient
 
 S_ONE_TWO = GeneratorSet.from_vectors([(1,), (2,)])
 S_DIAG = GeneratorSet.from_vectors([(1, 0), (0, 1), (1, 1)])
@@ -190,6 +198,50 @@ class TestRunLayered:
             expected[((z[1], z[0]), step)] = level_color_name(color, 0, 2)
         assert dict(run.result.coloring.items()) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_level_is_the_torus_colorer(self, data):
+        # color_tiling is the union of its regions' placed blocks, and it is
+        # run_layered on one level whose chart is the identity, up to the
+        # level-0 names: c{j}@0 is c{j}, p{j}@0 is j and 0 is n+1
+        n = data.draw(st.integers(1, 3))
+        d = data.draw(st.sampled_from((6, 10)))
+        # d + 3 is no sum of parts d and d + 1
+        moduli = tuple(data.draw(st.lists(
+            st.sampled_from((d, d + 1, d + 3, 2 * d + 1, 2 * d + 2)), min_size=n, max_size=n)))
+        try:
+            for q in moduli:
+                segment_lengths(q, d)
+        except InfeasibleError:
+            assume(False)
+        mode = data.draw(st.sampled_from(("plain", "core")))
+        torus = Torus(moduli)
+        tiling = brick_tiling(torus, d, seed=data.draw(st.integers(0, 10**6)))
+        direct = color_tiling(tiling, mode)
+        union = {}
+        for region in tiling.regions:
+            union.update(placed(local_edges(region.sizes, mode == "plain", (0,) * n),
+                                region, torus))
+        assert direct == union
+        if mode == "plain":
+            return
+        s = GeneratorSet.standard(n)
+        basis = tuple(unit_vector(n, ax) for ax in range(1, n + 1))
+        model = CosetModel(0, moduli, basis, moduli, ((0,) * n,),
+                           tuple(map(list, zip(*torus.vertices()))))
+        result = run_layered(s, decompose_with_constants(s), [model], [tiling])
+        assert verify_layered(result, s, moduli).ok
+
+        def torus_name(color):
+            if color == ZERO:
+                return P(n + 1)
+            name = color.removesuffix("@0")
+            return name if name.startswith("c") else name[1:]
+
+        axis_of = {step: ax for ax, step in enumerate(basis, start=1)}
+        assert {(base, axis_of[step]): torus_name(color)
+                for (base, step), color in result.coloring.items()} == direct
+
     def test_corruption_detected(self):
         run = run_pipeline(S_ONE_TWO, (6277,))
         good = dict(run.result.coloring.items())
@@ -209,10 +261,11 @@ class TestRunLayered:
         assert any("totality" in p for p in report2.problems)
 
     def test_disagreeing_regions_raise(self, force_conflict):
-        force_conflict(layered)
         with pytest.raises(ColorConflictError) as err:
             run_pipeline(S_ONE_TWO, (13,), d_override=6)
-        assert err.traceback[-2].name == "run_layered"
+        # raised by the level placer's store, called from run_layered
+        assert [entry.name for entry in err.traceback][-3:] == [
+            "run_layered", "_place_level", "_store"]
 
     def test_palette_partition(self):
         run = run_pipeline(S_ONE_TWO, (6277,))

@@ -87,6 +87,15 @@ class TestBlockWrites:
             _bc2(frame, box.origin, box.sizes, 1)
         assert frame == color_bc1(box)
 
+    def test_run_keeping_the_prior_bits_raises(self):
+        # the other order: c1 is byte 1 and the plain color 2 byte 3, so the
+        # run keeps every bit of the prior byte and still changes it
+        box = Box((4,), (3,))
+        frame = _blank(box)
+        _bc2(frame, box.origin, box.sizes, 1)
+        with pytest.raises(ColorConflictError, match=r"^edge \(\(5,\), 1\): c1 vs 2$"):
+            _bc1(frame, box.origin, box.sizes, (1,))
+
     @pytest.mark.parametrize("sizes", [(2, 3), (3, 3, 2), (4, 1, 3)])
     def test_message_names_the_edge_and_both_colors(self, sizes):
         # the two axis orders of bc1 disagree somewhere on these boxes

@@ -78,6 +78,27 @@ def test_no_dead_private_names():
     assert not dead
 
 
+def test_shared_machinery_has_one_caller():
+    """The store that every torus and layered write goes through, and the
+    frame builder and kernel that certify those colorings, are each called
+    from one module-level function or class in ``src/``: the level placer
+    and the level certifier, which the torus and layered paths share."""
+    callers: dict[str, set[str]] = {"_store": set(), "_torus_frame": set(),
+                                    "_scan_coloring": set()}
+    for path in sorted(Path(chromatile.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"_store": {"tiling._place_level"},
+                       "_torus_frame": {"grid._certify_level"},
+                       "_scan_coloring": {"grid._certify_level"}}
+
+
 def _module_state() -> dict:
     """A copy of every module-level dict, list, set and bytearray in the package."""
     return {
